@@ -17,19 +17,17 @@ cross-check is ``allclose`` on the per-token logprobs; the *bitwise*
 contract — engine vs :meth:`TransformerLM.sequence_logprobs` — is
 asserted exactly, per pair.
 
-Results land in ``BENCH_scoring.json`` at the repo root.  Regression
-floor: batch-16 scored pairs/sec must hold >= 5x over the sequential
-teacher-forced pass.
+Results land in ``bench_out/BENCH_scoring.json`` (the committed
+baseline sits at the repo root).  Regression floor: batch-16 scored
+pairs/sec must hold >= 5x over the sequential teacher-forced pass.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import print_banner
+from conftest import print_banner, write_bench_json
 
 from repro.data import generate_dataset
 from repro.llm import build_tokenizer
@@ -188,10 +186,8 @@ def test_scoring_sequential_vs_batched(wb):
     # the per-token cached pass by a wide margin.
     assert speedup >= SCORING_BATCH16_FLOOR, payload
 
-    # Persist only after the gate passed — a failing run must never
-    # overwrite the committed baseline with its own numbers.
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_scoring.json"
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Record only after the gate passed.
+    write_bench_json("BENCH_scoring.json", payload)
 
 
 class _SequenceScoreShim:

@@ -13,20 +13,20 @@ a long-prompt stall scenario pins the chunked-prefill latency bound, and
 a late-arrival burst scenario pins that multi-slot chunked admission
 cuts mean admission-to-first-token steps at least 2x vs single-slot.
 
-Results land in ``BENCH_serving.json`` at the repo root, the serving
-counterpart of ``BENCH_throughput.json``.
+Results land in ``bench_out/BENCH_serving.json`` (see
+:func:`conftest.write_bench_json`), the serving counterpart of
+``BENCH_throughput.json``; the committed baseline sits at the repo root.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
 from pathlib import Path
 
 import numpy as np
-from conftest import print_banner
+from conftest import print_banner, write_bench_json
 
 from repro.config import FleetConfig, ServingConfig
 from repro.core.coachlm import CoachLM
@@ -85,7 +85,9 @@ def _bench_coach(scale) -> tuple[CoachLM, list]:
     return coach, eligible
 
 
-def _batch8_reference(coach: CoachLM, pairs: list) -> tuple[float, int]:
+def _batch8_reference(
+    coach: CoachLM, pairs: list, runs: int = 2
+) -> tuple[float, int]:
     """Offline batch-8 revision throughput over the same requests.
 
     Re-derived from the *current* engine on every run (never a number
@@ -103,9 +105,9 @@ def _batch8_reference(coach: CoachLM, pairs: list) -> tuple[float, int]:
         requests.append(request)
     best = 0.0
     tokens = 0
-    # Two timed runs, best-of: the first pays numpy/BLAS warmup and the
+    # Best-of-``runs``: the first run pays numpy/BLAS warmup and the
     # comparison below should be against the engine's real speed.
-    for _ in range(2):
+    for _ in range(runs):
         engine = BatchedEngine(coach.model, max_batch=SERVING_CONFIG.max_batch)
         start = time.perf_counter()
         outputs = engine.generate(requests)
@@ -231,46 +233,51 @@ def _late_arrival_admission(coach: CoachLM) -> dict:
     }
 
 
-def _poisson_load(
-    coach: CoachLM, pairs: list, rate_per_s: float, seed: int, repeats: int = 1
-):
-    """Open-loop load: submit each pair after an exponential gap.
+def _poisson_load(coach: CoachLM, pairs: list, rate_per_s: float, seed: int):
+    """Open-loop load: submit each pair after an exponential gap."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(1.0 / rate_per_s, size=len(pairs))
+    server = RevisionServer(coach, SERVING_CONFIG)
+    with server:
+        futures = []
+        for pair, gap in zip(pairs, gaps):
+            time.sleep(float(gap))
+            futures.append(server.submit(pair))
+        results = [future.result(timeout=600.0) for future in futures]
+    latencies = sorted(result.latency_s for result in results)
+    return {
+        "rate_per_s": round(rate_per_s, 2),
+        "n_requests": len(results),
+        "p50_latency_s": round(float(np.percentile(latencies, 50)), 4),
+        "p95_latency_s": round(float(np.percentile(latencies, 95)), 4),
+        "sustained_tokens_per_sec": round(server.metrics.tokens_per_second(), 1),
+        "engine_tokens": server.metrics.engine_tokens,
+    }
 
-    ``repeats`` takes the best sustained-throughput trial (keeping that
-    trial's latencies), mirroring the best-of-2 warmup discipline of
-    :func:`_batch8_reference` — the saturated point feeds a ratio whose
-    *denominator* is already a best-of, so a single-shot numerator would
-    systematically understate it under CI contention.
+
+def _saturated_vs_reference(
+    coach: CoachLM, pairs: list, rate_per_s: float, seed: int, rounds: int = 5
+) -> tuple[dict, float]:
+    """Best saturated trial and best offline batch-8 run, interleaved.
+
+    Each side's trial lasts about 0.1 s, and the host's speed drifts by
+    more than the gate's 10% margin over a few seconds, so the two sides
+    alternate round by round: a slow phase lands on both instead of
+    deciding the ratio.  Returns ``(best trial's stats, best reference
+    tok/s)``; the trial keeps its own latencies.
     """
     best = None
-    for trial in range(repeats):
-        rng = np.random.default_rng(seed + trial)
-        gaps = rng.exponential(1.0 / rate_per_s, size=len(pairs))
-        server = RevisionServer(coach, SERVING_CONFIG)
-        with server:
-            futures = []
-            for pair, gap in zip(pairs, gaps):
-                time.sleep(float(gap))
-                futures.append(server.submit(pair))
-            results = [future.result(timeout=600.0) for future in futures]
-        latencies = sorted(result.latency_s for result in results)
-        stats = {
-            "rate_per_s": round(rate_per_s, 2),
-            "n_requests": len(results),
-            "p50_latency_s": round(float(np.percentile(latencies, 50)), 4),
-            "p95_latency_s": round(float(np.percentile(latencies, 95)), 4),
-            "sustained_tokens_per_sec": round(
-                server.metrics.tokens_per_second(), 1
-            ),
-            "engine_tokens": server.metrics.engine_tokens,
-        }
+    best_ref = 0.0
+    for trial in range(rounds):
+        best_ref = max(best_ref, _batch8_reference(coach, pairs, runs=1)[0])
+        stats = _poisson_load(coach, pairs, rate_per_s, seed + trial)
         if (
             best is None
             or stats["sustained_tokens_per_sec"]
             > best["sustained_tokens_per_sec"]
         ):
             best = stats
-    return best
+    return best, best_ref
 
 
 def _dedup_pass(coach: CoachLM, pairs: list) -> dict:
@@ -303,13 +310,16 @@ def test_serving_sustains_batched_throughput(wb):
 
     sweep = {}
     for multiplier in LOAD_MULTIPLIERS:
-        sweep[f"{multiplier}x"] = _poisson_load(
-            coach, pairs, multiplier * capacity_req_per_s,
-            seed=int(multiplier * 10),
-            # Only the saturated point feeds the best-of-2 reference
-            # ratio; the under-subscribed point is latency-shaped.
-            repeats=3 if multiplier == max(LOAD_MULTIPLIERS) else 1,
-        )
+        rate = multiplier * capacity_req_per_s
+        seed = int(multiplier * 10)
+        if multiplier == max(LOAD_MULTIPLIERS):
+            # Only the saturated point feeds the reference ratio; the
+            # under-subscribed point is latency-shaped.
+            sweep[f"{multiplier}x"], ref_tokens_per_sec = (
+                _saturated_vs_reference(coach, pairs, rate, seed)
+            )
+        else:
+            sweep[f"{multiplier}x"] = _poisson_load(coach, pairs, rate, seed)
     dedup = _dedup_pass(coach, pairs)
     stall = _long_prompt_stall(coach)
     admission = _late_arrival_admission(coach)
@@ -326,9 +336,9 @@ def test_serving_sustains_batched_throughput(wb):
         "max_new_tokens": MAX_NEW_TOKENS,
         "prefill_chunk_tokens": SERVING_CONFIG.prefill_chunk_tokens,
         "prefill_concurrency": SERVING_CONFIG.prefill_concurrency,
-        # The serving default since PR 5: the engine behind every number
-        # above runs on the paged KV pool, so the saturated ratio prices
-        # in paging (mirror writes + lazy re-gathers), not just chunking.
+        # Both sides of the saturated ratio run on the paged KV pool (the
+        # engine's only layout); the ratio prices in chunked refill and
+        # the serving layer, not the KV layout.
         "kv_page_tokens": SERVING_CONFIG.kv_page_tokens,
         "reference_batch8_tokens_per_sec": round(ref_tokens_per_sec, 1),
         "arrival_sweep": sweep,
@@ -370,11 +380,10 @@ def test_serving_sustains_batched_throughput(wb):
     )
 
     # Under saturating Poisson load the streaming scheduler must stay
-    # close to the *unchunked dense* offline batch-8 throughput — the
-    # ratio now prices in both chunked prefill interleaving and the
-    # paged KV pool (the serving defaults); the long-prompt stall and
-    # kv_memory numbers are what those costs buy.  The JSON records the
-    # exact ratio (~0.93-1.0 with the mirror-backed pool).
+    # close to the *unchunked* offline batch-8 throughput — the ratio
+    # prices in chunked prefill interleaving (the serving default); the
+    # long-prompt stall numbers are what that cost buys.  The JSON
+    # records the exact ratio (~0.96-0.99 on the packed forward).
     assert saturated["sustained_tokens_per_sec"] >= 0.9 * ref_tokens_per_sec, (
         payload
     )
@@ -392,10 +401,8 @@ def test_serving_sustains_batched_throughput(wb):
     light = sweep[f"{min(LOAD_MULTIPLIERS)}x"]
     assert light["p50_latency_s"] <= saturated["p50_latency_s"], payload
 
-    # Persist only after every gate above passed — a failing run must
-    # never overwrite the committed baseline with its own numbers.
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Record only after every gate above passed.
+    write_bench_json("BENCH_serving.json", payload)
 
 
 # -- priority preemption + streaming overhead stages -----------------------------
@@ -502,8 +509,9 @@ def _priority_preemption(coach: CoachLM) -> dict:
 def _streaming_overhead(coach: CoachLM, pairs: list) -> dict:
     """Sustained tok/s of streamed vs non-streamed revision traffic.
 
-    Identical requests against fresh (cold-cache) servers, best-of-3
-    per mode with the modes interleaved round by round (so a transient
+    Identical requests against fresh (cold-cache) servers, best-of-7
+    per mode (each run lasts well under 0.1 s) with the modes
+    interleaved round by round (so a transient
     machine-load spike hits both sides, not just one); the streamed
     side pays the per-token delivery plumbing (scheduler callbacks,
     per-event queues) and must keep it under the
@@ -538,7 +546,7 @@ def _streaming_overhead(coach: CoachLM, pairs: list) -> dict:
 
     plain_tps = streamed_tps = 0.0
     plain_tokens = streamed_tokens = 0
-    for _ in range(3):
+    for _ in range(7):
         tps, plain_tokens = run_once(False)
         plain_tps = max(plain_tps, tps)
         tps, streamed_tokens = run_once(True)
@@ -561,14 +569,10 @@ def test_priority_preemption_and_streaming_overhead(wb):
     preemption = _priority_preemption(coach)
     streaming = _streaming_overhead(coach, pairs[:16])
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
-    payload = (
-        json.loads(out_path.read_text(encoding="utf-8"))
-        if out_path.exists()
-        else {}
-    )
-    payload["priority_preemption"] = preemption
-    payload["streaming_overhead"] = streaming
+    payload = {
+        "priority_preemption": preemption,
+        "streaming_overhead": streaming,
+    }
 
     print_banner(
         "preempt", "priority-tiered TTFT under saturation + streaming cost"
@@ -601,9 +605,8 @@ def test_priority_preemption_and_streaming_overhead(wb):
         <= STREAMING_OVERHEAD_CEILING * streaming["streamed_tokens_per_sec"]
     ), payload
 
-    # Persist only after the gates passed — a failing run must never
-    # overwrite the committed baseline with its own numbers.
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Record only after the gates passed.
+    write_bench_json("BENCH_serving.json", payload)
 
 
 # -- multi-process fleet stages --------------------------------------------------
@@ -710,14 +713,7 @@ def test_fleet_scaling_and_crash_recovery(wb):
     }
     recovery = _crash_recovery(coach, pairs)
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
-    payload = (
-        json.loads(out_path.read_text(encoding="utf-8"))
-        if out_path.exists()
-        else {}
-    )
-    payload["fleet_scaling"] = fleet_scaling
-    payload["crash_recovery"] = recovery
+    payload = {"fleet_scaling": fleet_scaling, "crash_recovery": recovery}
 
     print_banner("fleet", "multi-process fleet scaling + crash recovery")
     for label, stats in scaling.items():
@@ -742,9 +738,8 @@ def test_fleet_scaling_and_crash_recovery(wb):
         # Two engine processes on >= 2 cores must actually scale.
         assert fleet_scaling["speedup_2w"] >= FLEET_SCALING_FLOOR, payload
 
-    # Persist only after the gate passed — a failing run must never
-    # overwrite the committed baseline with its own numbers.
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Record only after the gate passed.
+    write_bench_json("BENCH_serving.json", payload)
 
 
 # -- crash-safe journal stages ---------------------------------------------------
@@ -879,13 +874,6 @@ def test_resume_recovery(wb, tmp_path):
     )
     recovery = _resume_recovery(coach, pairs, tmp_path / "bench-journal.jsonl")
 
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_serving.json"
-    payload = (
-        json.loads(out_path.read_text(encoding="utf-8"))
-        if out_path.exists()
-        else {}
-    )
-    payload["resume_recovery"] = recovery
 
     print_banner("resume", "crash-safe journal overhead + resume recovery")
     print(
@@ -915,6 +903,5 @@ def test_resume_recovery(wb, tmp_path):
         RECOVERY_TAIL_FACTOR * recovery["tail_tokens"]
     ), recovery
 
-    # Persist only after the gates passed — a failing run must never
-    # overwrite the committed baseline with its own numbers.
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Record only after the gates passed.
+    write_bench_json("BENCH_serving.json", {"resume_recovery": recovery})

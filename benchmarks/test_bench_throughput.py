@@ -12,14 +12,14 @@ A third, *prompt-heavy* scenario (prompt ≫ max_new_tokens — the shape of
 Reflection-Tuning-style repeated re-revision sweeps, where the Fig. 3
 template dominates every request) splits throughput into its prefill and
 decode phases: prefill-phase tokens/sec is isolated by decoding exactly
-one token per sequence, so the measurement compares one ragged batched
-prefill forward against the per-request prefill loop directly.
+one token per sequence, so the measurement compares one packed prefill
+forward against the per-request prefill loop directly.
 
-Results land in ``BENCH_throughput.json`` at the repo root so the perf
-trajectory of the engine is tracked across PRs.  Two regression floors
-are asserted: batched decode speedup at batch 8 must not drop below the
-PR-1 floor (>= 3.4x), and ragged batched prefill must hold >= 2x over
-per-request prefill at batch 8.
+Results land in ``bench_out/BENCH_throughput.json`` (the committed
+baseline sits at the repo root) so the perf trajectory of the engine is
+tracked across PRs.  Two regression floors are asserted: batched decode
+speedup at batch 8 must not drop below the PR-1 floor (>= 3.4x), and
+packed prefill must hold >= 2x over per-request prefill at batch 8.
 
 The ``prefix_cache`` stage measures the radix prefix cache under
 template-heavy load (every request extends one shared template): with
@@ -29,12 +29,10 @@ and KV bytes per live logical token must drop >= 2x.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
-from conftest import print_banner
+from conftest import print_banner, write_bench_json
 
 from repro.core.coachlm import CoachLM
 from repro.data import generate_dataset
@@ -51,19 +49,17 @@ MAX_NEW_TOKENS = 48
 PR1_BATCH8_FLOOR = 3.4
 #: Prompt-heavy scenario: long prompts, almost no decode.
 HEAVY_MAX_NEW_TOKENS = 8
-#: Acceptance bar for ragged batched prefill at batch 8.
+#: Acceptance bar for packed batched prefill at batch 8.
 PREFILL_BATCH8_FLOOR = 2.0
 #: Chunked-admission scenario: chunk size and the wall-clock bar
 #: multi-slot admission must clear over single-slot chunking (the real
 #: gap is ~2x; the floor leaves a wide band for CI timer noise).
 ADMISSION_CHUNK_TOKENS = 16
 ADMISSION_MULTI_VS_SINGLE_FLOOR = 1.2
-#: Unified mixed-length forward: burst turnaround at chunk 16 must beat
-#: PR-4's split chunk-forward + decode-forward schedule.
-UNIFIED_VS_SPLIT_FLOOR = 1.15
 #: Paged KV pool: resident KV bytes under staggered prompt-heavy load
-#: must undercut the dense slabs at least this much (the real gap is
-#: ~3-4x at partial occupancy).
+#: must undercut per-slot full-context slabs (``2 × n_layers × max_batch
+#: × max_seq_len × d_model`` float32) at least this much (the real gap
+#: is ~3-4x at partial occupancy).
 KV_MEMORY_RATIO_FLOOR = 2.0
 KV_PAGE_TOKENS = 64
 #: Radix prefix cache under template-heavy load (every request extends
@@ -210,7 +206,7 @@ def _chunked_admission_stage(model, prompts) -> dict:
     ``prefill_concurrency=1`` the burst's admission serializes (one
     chunk of one prompt per step, each arrival waiting out every chunk
     of the arrivals before it); at burst-width concurrency all parked
-    prompts advance each step in one ragged chunk forward.  Measured as
+    prompts advance each step as rows of one packed forward.  Measured as
     wall-clock from burst submission until the last arrival completes —
     the in-flight decodes keep running throughout, in both runs.  Every
     arrival must reproduce the sequential path's tokens exactly: the
@@ -228,14 +224,7 @@ def _chunked_admission_stage(model, prompts) -> dict:
     ]
     decoy_budget = model.config.max_seq_len - 16
 
-    first_tokens = [seq[:1] for seq in expected]
-
-    def burst_turnaround(
-        concurrency: int, unified_step: bool = True, budget: int | None = None,
-        repeats: int = 3,
-    ) -> float:
-        budget = HEAVY_MAX_NEW_TOKENS if budget is None else budget
-        want = first_tokens if budget == 1 else expected
+    def burst_turnaround(concurrency: int, repeats: int = 3) -> float:
         best = float("inf")
         for _ in range(repeats):
             engine = BatchedEngine(
@@ -243,19 +232,21 @@ def _chunked_admission_stage(model, prompts) -> dict:
                 max_batch=2 * BATCH_SIZES[0],
                 prefill_chunk_tokens=ADMISSION_CHUNK_TOKENS,
                 prefill_concurrency=concurrency,
-                unified_step=unified_step,
             )
             for prompt in decoys:
                 engine.submit(GenerationRequest(prompt, decoy_budget))
             engine.step()  # decoy fleet in flight; budgets outlast the burst
-            ids = [engine.submit(GenerationRequest(p, budget)) for p in burst]
+            ids = [
+                engine.submit(GenerationRequest(p, HEAVY_MAX_NEW_TOKENS))
+                for p in burst
+            ]
             results: dict[int, list[int]] = {}
             start = time.perf_counter()
             while not all(seq_id in results for seq_id in ids):
                 engine.step()
                 results.update(engine.collect())
             best = min(best, time.perf_counter() - start)
-            assert [results[seq_id] for seq_id in ids] == want, (
+            assert [results[seq_id] for seq_id in ids] == expected, (
                 f"late-arrival tokens diverge at concurrency={concurrency}"
             )
         return best
@@ -275,101 +266,60 @@ def _chunked_admission_stage(model, prompts) -> dict:
     single = stage["by_concurrency"]["1"]["tokens_per_sec"]
     multi = stage["by_concurrency"][str(BATCH_SIZES[0])]["tokens_per_sec"]
     stage["multi_vs_single_slot"] = round(multi / single, 2)
-
-    # The PR-5 merge lever, isolated: the same burst at full concurrency
-    # under PR-4's split schedule (one ragged chunk forward + one decode
-    # forward per step) vs the unified mixed-length forward.  One-token
-    # budgets bound the window at every arrival's *first token* — the
-    # burst's admission turnaround, the span the merged forward actually
-    # changes (the decode tail after promotion is mode-independent and
-    # would only dilute the ratio).  Identical tokens either way — the
-    # gain is one model pass per step instead of two.
-    # Interleaved best-of-8: the two schedules differ by ~20% over a
-    # ~30 ms window, so the ratio needs tighter min-estimates than the
-    # coarser stages, and alternating the trials makes any slow system
-    # phase hit both sides instead of biasing one.
-    split_s = unified_s = float("inf")
-    for _ in range(8):
-        split_s = min(
-            split_s,
-            burst_turnaround(BATCH_SIZES[0], unified_step=False, budget=1,
-                             repeats=1),
-        )
-        unified_s = min(
-            unified_s,
-            burst_turnaround(BATCH_SIZES[0], unified_step=True, budget=1,
-                             repeats=1),
-        )
-    prompt_tokens = sum(len(p) for p in burst)
-    unified_stage = {
-        "n_arrivals": len(burst),
-        "chunk_tokens": ADMISSION_CHUNK_TOKENS,
-        "prefill_concurrency": BATCH_SIZES[0],
-        "burst_prompt_tokens": prompt_tokens,
-        "split_elapsed_s": round(split_s, 4),
-        "unified_elapsed_s": round(unified_s, 4),
-        "split_tokens_per_sec": round(prompt_tokens / split_s, 1),
-        "unified_tokens_per_sec": round(prompt_tokens / unified_s, 1),
-        "unified_vs_split": round(split_s / unified_s, 2),
-    }
-    return stage, unified_stage
+    return stage
 
 
 def _kv_memory_stage(model, prompts) -> dict:
-    """Resident KV bytes: paged pool vs dense slabs, staggered arrivals.
+    """Resident KV bytes of the paged pool under staggered arrivals.
 
     The memory claim the paged pool makes is that resident KV bytes
     follow the *live* fleet, not the provisioned worst case — so the
     scenario is an engine provisioned wide (two burst widths of slots)
     serving prompt-heavy requests that arrive over time, the serving
-    shape where occupancy is variable.  Dense slabs hold
-    ``max_batch × max_seq_len`` columns throughout; the pool holds the
-    pages of the sequences actually alive (plus its gather scratch,
-    counted).  Tokens must match the dense run exactly — the ratio is
-    pure storage, never different output.
+    shape where occupancy is variable.  The reference is the analytic
+    size of per-slot full-context slabs, ``2 × n_layers × max_batch ×
+    max_seq_len × d_model`` float32 bytes; the pool holds the pages of
+    the sequences actually alive (plus its attention mirror, counted).
+    Tokens must match the sequential path exactly.
     """
     max_batch = 2 * BATCH_SIZES[0]
-
-    def staggered(kv_page_tokens: int | None):
-        engine = BatchedEngine(
-            model, max_batch=max_batch, kv_page_tokens=kv_page_tokens
-        )
-        results: dict[int, list[int]] = {}
-        ids: list[int] = []
-        pending = list(prompts)
-        peak_resident = 0
-        peak_pages = 0
-        while pending or engine.has_work:
-            if pending:
-                ids.append(
-                    engine.submit(
-                        GenerationRequest(pending.pop(0), HEAVY_MAX_NEW_TOKENS)
-                    )
+    cfg = model.config
+    slab_bytes = 2 * cfg.n_layers * max_batch * cfg.max_seq_len * cfg.d_model * 4
+    expected = [model.generate(p, HEAVY_MAX_NEW_TOKENS) for p in prompts]
+    engine = BatchedEngine(
+        model, max_batch=max_batch, kv_page_tokens=KV_PAGE_TOKENS
+    )
+    results: dict[int, list[int]] = {}
+    ids: list[int] = []
+    pending = list(prompts)
+    peak_resident = 0
+    peak_pages = 0
+    while pending or engine.has_work:
+        if pending:
+            ids.append(
+                engine.submit(
+                    GenerationRequest(pending.pop(0), HEAVY_MAX_NEW_TOKENS)
                 )
-            for _ in range(4):
-                engine.step()
-                results.update(engine.collect())
-            stats = engine.kv_stats()
-            peak_resident = max(peak_resident, stats["resident_kv_bytes"])
-            if stats["paged"]:
-                peak_pages = max(peak_pages, stats["pages_in_use"])
-        results.update(engine.collect())
-        return [results[i] for i in ids], peak_resident, peak_pages
-
-    dense_tokens, dense_resident, _ = staggered(None)
-    paged_tokens, paged_resident, peak_pages = staggered(KV_PAGE_TOKENS)
-    assert paged_tokens == dense_tokens, "paged KV changed decoded tokens"
+            )
+        for _ in range(4):
+            engine.step()
+            results.update(engine.collect())
+        stats = engine.kv_stats()
+        peak_resident = max(peak_resident, stats["resident_kv_bytes"])
+        peak_pages = max(peak_pages, stats["pages_in_use"])
+    results.update(engine.collect())
+    assert [results[i] for i in ids] == expected, "paged KV changed decoded tokens"
     return {
         "n_sequences": len(prompts),
         "max_batch": max_batch,
         "kv_page_tokens": KV_PAGE_TOKENS,
         "max_new_tokens": HEAVY_MAX_NEW_TOKENS,
-        "dense_resident_bytes": dense_resident,
-        "paged_resident_bytes": paged_resident,
-        "resident_ratio": round(dense_resident / paged_resident, 2),
+        "dense_resident_bytes": slab_bytes,
+        "paged_resident_bytes": peak_resident,
+        "resident_ratio": round(slab_bytes / peak_resident, 2),
         "peak_kv_pages": peak_pages,
         "kv_bytes_per_live_token": round(
-            paged_resident / (peak_pages * KV_PAGE_TOKENS), 1
+            peak_resident / (peak_pages * KV_PAGE_TOKENS), 1
         ),
     }
 
@@ -523,8 +473,8 @@ def test_throughput_sequential_vs_batched(wb):
     long_prompts = _long_prompts(tokenizer, model, dataset)
     heavy_stage = _prompt_heavy_stage(model, long_prompts)
 
-    # -- stage 4: chunked admission, single- vs multi-slot, unified-vs-split ---
-    admission_stage, unified_stage = _chunked_admission_stage(model, long_prompts)
+    # -- stage 4: chunked admission, single- vs multi-slot ----------------------
+    admission_stage = _chunked_admission_stage(model, long_prompts)
 
     # -- stage 5: paged KV pool resident memory --------------------------------
     kv_memory_stage = _kv_memory_stage(model, long_prompts)
@@ -544,7 +494,6 @@ def test_throughput_sequential_vs_batched(wb):
         "revision": revision_stage,
         "prompt_heavy": heavy_stage,
         "chunked_admission": admission_stage,
-        "unified_forward": unified_stage,
         "kv_memory": kv_memory_stage,
         "prefix_cache": prefix_stage,
     }
@@ -579,13 +528,7 @@ def test_throughput_sequential_vs_batched(wb):
         f"({admission_stage['multi_vs_single_slot']:.2f}x)"
     )
     print(
-        f"unified_forward (chunk={unified_stage['chunk_tokens']}): split "
-        f"{unified_stage['split_tokens_per_sec']:.0f} tok/s → unified "
-        f"{unified_stage['unified_tokens_per_sec']:.0f} tok/s "
-        f"({unified_stage['unified_vs_split']:.2f}x)"
-    )
-    print(
-        f"kv_memory (staggered, {kv_memory_stage['max_batch']} slots): dense "
+        f"kv_memory (staggered, {kv_memory_stage['max_batch']} slots): slabs "
         f"{kv_memory_stage['dense_resident_bytes'] / 1e6:.2f} MB → paged "
         f"{kv_memory_stage['paged_resident_bytes'] / 1e6:.2f} MB "
         f"({kv_memory_stage['resident_ratio']:.2f}x, peak "
@@ -605,7 +548,7 @@ def test_throughput_sequential_vs_batched(wb):
     )
 
     # Perf-regression floors.  The engine must not give back PR-1's
-    # continuous-batching decode speedup, and the ragged batched prefill
+    # continuous-batching decode speedup, and the packed batched prefill
     # must clear its own acceptance bar.
     for stage in (response_stage, revision_stage):
         assert stage["batched"]["8"]["speedup"] >= PR1_BATCH8_FLOOR, stage
@@ -618,11 +561,6 @@ def test_throughput_sequential_vs_batched(wb):
         admission_stage["multi_vs_single_slot"]
         >= ADMISSION_MULTI_VS_SINGLE_FLOOR
     ), admission_stage
-    # Folding the chunk rows into the decode forward must beat PR-4's
-    # split two-forward schedule on the same burst.
-    assert (
-        unified_stage["unified_vs_split"] >= UNIFIED_VS_SPLIT_FLOOR
-    ), unified_stage
     # The paged pool's reason to exist: resident KV memory scales with
     # live tokens, not with max_batch × max_seq_len.
     assert (
@@ -637,7 +575,5 @@ def test_throughput_sequential_vs_batched(wb):
         >= PREFIX_MEMORY_RATIO_FLOOR
     ), prefix_stage
 
-    # Persist only after every gate above passed — a failing run must
-    # never overwrite the committed baseline with its own numbers.
-    out_path = Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Record only after every gate above passed.
+    write_bench_json("BENCH_throughput.json", payload)

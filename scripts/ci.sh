@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the fast unit/parity suites plus the randomized
 # differential-parity fuzz harness at a fixed, reproducible seed budget
-# — run three times: with the per-scenario KV-backend draw, with every
-# scenario forced onto the paged KV pool, and with the radix prefix
-# cache forced on over the paged pool (same seeds throughout, so the
-# forced legs differentially replay known-good traces) — plus the
-# KV-memory regression floor (paged resident bytes must undercut dense
-# slabs >= 2x under staggered load).
+# — run three times: with the per-scenario KV-layout draw, with the
+# radix prefix cache forced on, and with preemptive decode eviction
+# forced on (same seeds throughout, so the forced legs differentially
+# replay known-good traces) — plus the KV-memory regression floor (the
+# paged pool's resident bytes must undercut per-slot full-context slabs
+# >= 2x under staggered load).
 #
 #   scripts/ci.sh            # tier-1 + fuzz legs (fixed seeds, ~40s)
 #   scripts/ci.sh --runslow  # also run the slow end-to-end example tests
 #
 # The benchmark harness (pytest -m bench) is intentionally excluded: it
-# regenerates BENCH_*.json artifacts and runs for minutes.  Fuzz knobs:
+# runs for minutes (its results land in the gitignored bench_out/).
+# Fuzz knobs:
 #   REPRO_FUZZ_SEED       master seed (scenario i uses seed + i)
 #   REPRO_FUZZ_SCENARIOS  scenario budget (CI default below)
-#   REPRO_FUZZ_PAGED      auto | on | off (the legs below pin it)
 #   REPRO_FUZZ_PREFIX     auto | on | off (radix prefix cache draw)
 #   REPRO_FUZZ_PREEMPT    auto | on | off (priority + preempt/resume draw)
 # A fuzz failure prints the exact one-scenario reproduction command.
@@ -63,28 +63,20 @@ REPRO_FUZZ_SEED="${REPRO_FUZZ_SEED:-20240311}" \
 REPRO_FUZZ_SCENARIOS="${REPRO_FUZZ_SCENARIOS:-80}" \
 python -m pytest tests/test_fuzz_parity.py -q
 
-echo "== fuzz: paged KV pool forced on (same fixed seeds) =="
-REPRO_FUZZ_PAGED=on \
-REPRO_FUZZ_SEED="${REPRO_FUZZ_SEED:-20240311}" \
-REPRO_FUZZ_SCENARIOS="${REPRO_FUZZ_SCENARIOS:-80}" \
-python -m pytest tests/test_fuzz_parity.py -q
-
-echo "== fuzz: radix prefix cache forced on over paged pool (same seeds) =="
-REPRO_FUZZ_PAGED=on \
+echo "== fuzz: radix prefix cache forced on (same seeds) =="
 REPRO_FUZZ_PREFIX=on \
 REPRO_FUZZ_SEED="${REPRO_FUZZ_SEED:-20240311}" \
 REPRO_FUZZ_SCENARIOS="${REPRO_FUZZ_SCENARIOS:-80}" \
 python -m pytest tests/test_fuzz_parity.py -q
 
-echo "== fuzz: preemptive decode eviction forced on over paged pool (same seeds) =="
+echo "== fuzz: preemptive decode eviction forced on (same seeds) =="
 timeout --signal=TERM --kill-after=30 "${REPRO_PREEMPT_TIMEOUT_S:-300}" \
-    env REPRO_FUZZ_PAGED=on \
-    REPRO_FUZZ_PREEMPT=on \
+    env REPRO_FUZZ_PREEMPT=on \
     REPRO_FUZZ_SEED="${REPRO_FUZZ_SEED:-20240311}" \
     REPRO_FUZZ_SCENARIOS="${REPRO_FUZZ_SCENARIOS:-80}" \
     python -m pytest tests/test_fuzz_parity.py -q
 
-echo "== KV-memory regression floor (paged vs dense resident bytes) =="
+echo "== KV-memory regression floor (paged pool vs full-context slabs) =="
 python -m pytest tests/test_decoding.py -q -k paged_memory_scales
 
 echo "== fleet: seeded fault-injection fuzz (crash/hang/drop/torn-cache) =="

@@ -33,6 +33,10 @@ DEFAULT_SEED = 20240311
 #: revision and response-generation paths.
 DEFAULT_GEN_BATCH_SIZE = 8
 
+#: Page size (tokens) of the batched engine's paged KV pool — the single
+#: default for the engine, :class:`ScaleConfig` and :class:`ServingConfig`.
+DEFAULT_KV_PAGE_TOKENS = 64
+
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
@@ -121,28 +125,25 @@ class ScaleConfig:
     #: by in-flight sequences.  ``None`` prefills refill prompts whole.
     prefill_chunk_tokens: int | None = None
     #: How many refill prompts advance their chunked prefill concurrently
-    #: (one ragged chunk forward per engine step).  Only meaningful with
+    #: (each chunk a row of the engine step's forward).  Only meaningful with
     #: ``prefill_chunk_tokens`` set; 1 reproduces single-slot admission.
     prefill_concurrency: int = 1
-    #: Page size (tokens) of the engine's paged KV pool.  ``None`` (the
-    #: offline default) keeps dense per-slot slabs — resident KV memory
-    #: is ``gen_batch_size × max_seq_len`` whatever the fleet holds.
-    #: Setting a page size switches to on-demand pages drawn from a
-    #: shared free list through per-sequence block tables, so KV memory
-    #: scales with *live tokens*; decoded tokens are identical either
-    #: way.  64 matches the serving default.
-    kv_page_tokens: int | None = None
+    #: Page size (tokens) of the engine's paged KV pool: K/V live in
+    #: on-demand pages drawn from a shared free list through
+    #: per-sequence block tables, so KV memory scales with *live
+    #: tokens*.  The page size never changes a decoded token; the
+    #: default matches the serving default.
+    kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS
     #: Total page budget of the paged pool (admission reserves each
     #: sequence's worst-case quota against it).  ``None`` sizes it to
-    #: the dense worst case, ``gen_batch_size × ceil(max_seq_len /
-    #: kv_page_tokens)`` — same capacity ceiling, lazily allocated.
-    #: Requires ``kv_page_tokens``.
+    #: the full-context worst case, ``gen_batch_size × ceil(max_seq_len
+    #: / kv_page_tokens)`` — lazily allocated.
     kv_pool_pages: int | None = None
     #: Radix prefix cache over the paged pool: prompts sharing a prefix
     #: with an earlier prefill borrow its refcounted read-only pages,
     #: prefill from the first divergent token, and copy-on-write the
     #: shared boundary page on first write.  Off by default offline
-    #: (batch jobs rarely repeat prompts); requires ``kv_page_tokens``.
+    #: (batch jobs rarely repeat prompts).
     kv_prefix_cache: bool = False
 
     def __post_init__(self) -> None:
@@ -162,9 +163,7 @@ class ScaleConfig:
                 "prefill_concurrency must be >= 1, got "
                 f"{self.prefill_concurrency}"
             )
-        _validate_kv_paging(
-            self.kv_page_tokens, self.kv_pool_pages, self.kv_prefix_cache
-        )
+        _validate_kv_paging(self.kv_page_tokens, self.kv_pool_pages)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_new_tokens < 1:
@@ -177,28 +176,15 @@ class ScaleConfig:
         return replace(self, **overrides)  # type: ignore[arg-type]
 
 
-def _validate_kv_paging(
-    kv_page_tokens: int | None,
-    kv_pool_pages: int | None,
-    kv_prefix_cache: bool = False,
-) -> None:
+def _validate_kv_paging(kv_page_tokens: int, kv_pool_pages: int | None) -> None:
     """Shared validation of the paged-KV knobs (Scale and Serving configs)."""
-    if kv_page_tokens is not None and kv_page_tokens < 1:
+    if kv_page_tokens is None or kv_page_tokens < 1:
         raise ConfigError(
             f"kv_page_tokens must be >= 1, got {kv_page_tokens}"
         )
-    if kv_pool_pages is not None:
-        if kv_page_tokens is None:
-            raise ConfigError(
-                "kv_pool_pages requires kv_page_tokens (a paged KV cache)"
-            )
-        if kv_pool_pages < 1:
-            raise ConfigError(
-                f"kv_pool_pages must be >= 1, got {kv_pool_pages}"
-            )
-    if kv_prefix_cache and kv_page_tokens is None:
+    if kv_pool_pages is not None and kv_pool_pages < 1:
         raise ConfigError(
-            "kv_prefix_cache requires kv_page_tokens (a paged KV cache)"
+            f"kv_pool_pages must be >= 1, got {kv_pool_pages}"
         )
 
 
@@ -233,32 +219,31 @@ class ServingConfig:
         engine step while the fleet is decoding, so long prompts cannot
         stall in-flight requests for a whole prompt-length forward pass.
         Bounding the stall costs some saturated throughput (refills
-        trickle in one chunk per step instead of arriving in one ragged
-        batched prefill); ``BENCH_serving.json`` tracks the ratio.
+        trickle in one chunk per step instead of prefilling whole);
+        ``BENCH_serving.json`` tracks the ratio.
         ``None`` disables chunking (refill prompts prefill whole).
     prefill_concurrency:
         How many late-arriving prompts advance their chunked prefill
-        *concurrently*, in one ragged chunk forward per engine step.  At
+        *concurrently*, each chunk a row of the engine step's forward.  At
         1 a burst of arrivals serializes behind a single admission slot;
         the default (the fleet width) lets the whole burst prefill
         together, collapsing admission-to-first-token latency under
         bursty load (``BENCH_serving.json`` tracks the ratio).  Only
         meaningful with ``prefill_chunk_tokens`` set.
     kv_page_tokens:
-        Page size (tokens) of the server engine's paged KV pool.  The
-        serving default (64) allocates KV pages on demand through
-        per-sequence block tables, so resident KV memory follows the
-        *live* fleet instead of the provisioned ``max_batch ×
-        max_seq_len`` worst case, and slot compaction is an O(1) block
-        -table move; ``GET /metrics`` exports the pool's ``free_pages``
-        headroom so operators see admission pressure building before
-        the queue starts returning 429s.  ``None`` restores dense
-        per-slot slabs.  Served tokens are identical either way.
+        Page size (tokens) of the server engine's paged KV pool.  KV
+        pages are allocated on demand through per-sequence block tables,
+        so resident KV memory follows the *live* fleet instead of the
+        provisioned ``max_batch × max_seq_len`` worst case, and slot
+        compaction is an O(1) block-table move; ``GET /metrics`` exports
+        the pool's ``free_pages`` headroom so operators see admission
+        pressure building before the queue starts returning 429s.  The
+        page size never changes a served token.
     kv_pool_pages:
         Total page budget of the pool (admission reserves each
         sequence's worst-case quota against it; requests beyond it wait
-        in the queue).  ``None`` sizes it to the dense worst case —
-        same ceiling, lazily allocated.  Requires ``kv_page_tokens``.
+        in the queue).  ``None`` sizes it to the full-context worst
+        case, lazily allocated.
     kv_prefix_cache:
         Radix prefix cache over the paged pool: every revision request
         wraps its content in the same long coach-prompt template, so
@@ -267,9 +252,7 @@ class ServingConfig:
         divergent token, and copy-on-write the shared boundary page on
         first write.  ``GET /metrics`` exports the hit-rate and
         shared-page counters under ``engine.prefix_cache``.  Served
-        tokens are identical either way.  ``None`` (the default) means
-        *on whenever the pool is paged*; an explicit ``True`` requires
-        ``kv_page_tokens``.
+        tokens are identical either way.
     preemption_enabled:
         Priority-tiered preemption: when admission is blocked on slots
         or pages for a strictly-higher-priority arrival, the engine
@@ -288,9 +271,9 @@ class ServingConfig:
     idle_wait_s: float = 0.005
     prefill_chunk_tokens: int | None = 64
     prefill_concurrency: int = DEFAULT_GEN_BATCH_SIZE
-    kv_page_tokens: int | None = 64
+    kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS
     kv_pool_pages: int | None = None
-    kv_prefix_cache: bool | None = None
+    kv_prefix_cache: bool = True
     preemption_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -306,11 +289,7 @@ class ServingConfig:
                 "prefill_concurrency must be >= 1, got "
                 f"{self.prefill_concurrency}"
             )
-        _validate_kv_paging(
-            self.kv_page_tokens,
-            self.kv_pool_pages,
-            bool(self.kv_prefix_cache),
-        )
+        _validate_kv_paging(self.kv_page_tokens, self.kv_pool_pages)
         if self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
@@ -332,14 +311,6 @@ class ServingConfig:
             )
         if self.idle_wait_s <= 0:
             raise ConfigError(f"idle_wait_s must be > 0, got {self.idle_wait_s}")
-
-    @property
-    def kv_prefix_cache_enabled(self) -> bool:
-        """Resolved prefix-cache switch: the ``None`` default follows the
-        pool (on when paged, moot on dense slabs)."""
-        if self.kv_prefix_cache is None:
-            return self.kv_page_tokens is not None
-        return self.kv_prefix_cache
 
 
 @dataclass(frozen=True)

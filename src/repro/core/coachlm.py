@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import DEFAULT_GEN_BATCH_SIZE
+from ..config import DEFAULT_GEN_BATCH_SIZE, DEFAULT_KV_PAGE_TOKENS
 from ..data.dataset import InstructionDataset
 from ..data.instruction_pair import InstructionPair, Origin
 from ..errors import GenerationError, ModelError
@@ -384,7 +384,7 @@ class CoachLM:
         batch_size: int = DEFAULT_GEN_BATCH_SIZE,
         prefill_chunk_tokens: int | None = None,
         prefill_concurrency: int = 1,
-        kv_page_tokens: int | None = None,
+        kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
         revise_top_k: int | None = None,
         self_review: bool = False,
         journal=None,
@@ -392,15 +392,14 @@ class CoachLM:
         """Revise every pair of a dataset (Eq. (2): D_c = {θ_c(x'_c)}).
 
         Decoding runs through the batched engine — ``batch_size``
-        sequences per forward pass, with ragged batched prefill and
+        sequences per forward pass, with packed prefill and
         continuous slot refill — and is token-identical to calling
         :meth:`revise_pair` per pair.  ``prefill_chunk_tokens`` caps how
         much refill-prompt prefill a single engine step may do and
         ``prefill_concurrency`` lets that many refill prompts advance
         their chunks together (mostly serving-path knobs; offline runs
-        usually leave chunking off).  ``kv_page_tokens`` switches the
-        engine to the paged KV pool (memory scales with live tokens;
-        identical tokens out).
+        usually leave chunking off).  ``kv_page_tokens`` sets the page
+        size of the engine's KV pool (identical tokens at every size).
 
         ``revise_top_k`` spends the decode budget where it helps most:
         teacher-force score the whole dataset (one batched
@@ -536,7 +535,7 @@ class CoachLM:
         verdicts: list,
         engine: BatchedEngine,
         batch_size: int,
-        kv_page_tokens: int | None,
+        kv_page_tokens: int,
     ) -> None:
         """Score-check claimed revisions in place (revise→score→re-revise).
 

@@ -23,8 +23,8 @@ stream, matching :meth:`TransformerLM.generate` under the same seed);
 the fleet advances ``batch_size`` sequences per forward pass with
 continuous slot refill, ``prefill_chunk_tokens`` bounds how long a
 refill prompt may stall in-flight decodes, and ``prefill_concurrency``
-lets that many refill prompts advance their chunked prefill together in
-one ragged forward per step (see
+lets that many refill prompts advance their chunked prefill together,
+each chunk a row of the step's one packed forward (see
 :class:`~repro.nn.decoding.BatchedEngine`).
 """
 
@@ -35,6 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from ..config import DEFAULT_GEN_BATCH_SIZE as DEFAULT_BATCH_SIZE
+from ..config import DEFAULT_KV_PAGE_TOKENS
 from ..nn.decoding import BatchedEngine, GenerationRequest
 from ..nn.transformer import TransformerLM
 from .prompts import encode_truncated_instruction_prompt
@@ -51,7 +52,7 @@ class TextEngine:
         batch_size: int = DEFAULT_BATCH_SIZE,
         prefill_chunk_tokens: int | None = None,
         prefill_concurrency: int = 1,
-        kv_page_tokens: int | None = None,
+        kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
     ):
         self.model = model
         self.tokenizer = tokenizer

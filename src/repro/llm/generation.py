@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import DEFAULT_GEN_BATCH_SIZE
+from ..config import DEFAULT_GEN_BATCH_SIZE, DEFAULT_KV_PAGE_TOKENS
 from ..data.instruction_pair import InstructionPair, Origin
 from ..nn.transformer import TransformerLM
 from ..textgen.tasks import TaskInstance
@@ -37,12 +37,12 @@ def generate_responses(
     batch_size: int = DEFAULT_GEN_BATCH_SIZE,
     prefill_chunk_tokens: int | None = None,
     prefill_concurrency: int = 1,
-    kv_page_tokens: int | None = None,
+    kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
 ) -> list[InstructionPair]:
     """Generate responses for a list of instructions.
 
     Decoding runs through the batched engine (``batch_size`` sequences
-    per forward pass, ragged batched prefill, continuous slot refill)
+    per forward pass, packed prefill, continuous slot refill)
     and is token-identical to calling :func:`generate_response` per
     instruction.  Returns model-generated pairs carrying the test items'
     provenance so the judges can run oracle checks against them.

@@ -9,12 +9,11 @@ whole stack at laptop scale (DESIGN.md §2):
 * :mod:`repro.nn.transformer` — a decoder-only transformer LM with causal
   attention, an autograd training path and a fast numpy inference path
   with KV caching;
-* :mod:`repro.nn.decoding` — batched decoding engine: ragged batched
-  prefill (one forward pass admits a whole fleet of uneven prompts),
-  chunked prefill/decode interleaving for streaming late-joins (one
-  unified mixed-length ragged forward per step), dense slot KV slabs or
-  a paged KV pool (fixed-size pages, block tables, memory that scales
-  with live tokens), continuous batching with slot retirement/refill,
+* :mod:`repro.nn.decoding` — batched decoding engine: one packed
+  varlen forward per step whose rows are whole prompts, prefill chunks
+  (streaming late-joins) and one-token decodes, a paged KV pool
+  (fixed-size pages, block tables, memory that scales with live
+  tokens), continuous batching with slot retirement/refill,
   per-sequence logit biases, and in-engine seeded top-k sampling;
 * :mod:`repro.nn.lora` — Low-Rank Adaptation [Hu et al. 2021] with
   freeze/merge semantics, as the paper uses for coach instruction tuning;
@@ -34,7 +33,6 @@ from .decoding import (
     PagedKVCaches,
     ScoringRequest,
     SequenceScore,
-    SlotKVCaches,
 )
 from .lora import LoRALinear, apply_lora, lora_parameters, merge_lora
 from .optim import Adam, clip_grad_norm, cosine_schedule
@@ -55,7 +53,6 @@ __all__ = [
     "PagedKVCaches",
     "ScoringRequest",
     "SequenceScore",
-    "SlotKVCaches",
     "LoRALinear",
     "apply_lora",
     "merge_lora",

@@ -14,81 +14,62 @@ set response generation).
 Engine phases
 ~~~~~~~~~~~~~
 
-Every request moves through three phases; each :meth:`BatchedEngine.step`
-runs them in order:
+Every :meth:`BatchedEngine.step` runs **one packed varlen forward**
+(:meth:`TransformerLM._forward_numpy` with ``pack_spans``): the new
+tokens of every row are concatenated on one token axis, so no pad
+position enters any projection GEMM, and each row attends over its own
+written KV prefix.  A row has one of two shapes, and a mixed step
+carries both:
 
-1. **Prefill** — pending prompts are admitted into free KV slots.  Up to
-   ``max_batch`` ragged prompts are prefilled in **one** forward pass:
-   prompts are *right-aligned* into a padded ``(B, T_max)`` batch, each
-   row carries a negative ``position_offset`` so its real tokens sit on
-   positions ``0..len-1``, and the attention core runs per row over each
-   sequence's valid slice, so pad columns never enter any float sum and
-   score temporaries stay cache-resident while the projection GEMMs
-   around them stay batched.  Last-token logits agree with
-   prefilling each prompt alone to within BLAS kernel-selection noise —
-   an ulp or two, orders of magnitude inside greedy argmax margins — and
-   the resulting *first tokens* are pinned bitwise-identical to the
-   per-request path by the parity suite.  With ``prefill_chunk_tokens``
-   set and a fleet already decoding, admission is *chunked* instead: up
-   to ``prefill_concurrency`` pending prompts are parked past the decode
-   fleet and **every** parked prompt advances by at most one fixed-size
-   chunk per step, all chunks in **one** ragged forward (right-aligned
-   uneven chunks, per-row position offsets, per-row key extents over
-   each slot's written prefix).  A late-arriving long prompt therefore
-   delays in-flight decode slots by a bounded chunk forward rather than
-   a whole prompt-length forward (the serving path's latency lever), and
-   a *burst* of late arrivals no longer serializes: all of them prefill
-   concurrently instead of queueing behind a single admission slot.
-   When every parked advance is exactly one token (chunk size 1, or
-   chunk tails), the parked rows have the same shape as decode rows and
-   ride along in the decode forward — no second model pass at all.
-2. **Decode** — all active sequences advance one token per forward pass
-   through shared slot KV caches; attention over ragged cache lengths
-   uses an additive key mask.  Token selection is vectorised: one
-   batched ``argmax`` plus vectorised EOS/budget masks, with per-row
-   handling only for slots carrying a ``step_bias`` hook or a ``top_k``
-   sampler.  When parked chunk rows are advancing, the decode rows and
-   the chunk rows ride **one unified mixed-length ragged forward**
-   (``unified_step``, the default): a decode row is a one-token chunk at
-   depth ``lengths[b]``, so both shapes share the per-row
-   ``key_lens``-qualified attention core and the step never pays a
-   second model pass, whatever the chunk size.
-3. **Retire/refill** — a sequence that hits EOS (or its token budget)
-   retires immediately; its slot is compacted away (swap-with-last) and
-   refilled from the pending queue at the next step's prefill phase, so
-   stragglers never pay for dead slots (continuous batching).
+1. **Prefill rows** — pending prompts are *parked* in free slots just
+   past the decode fleet.  Without ``prefill_chunk_tokens`` (or while
+   the fleet is idle) a parked row feeds its whole remaining prompt as
+   one row; with it set and a fleet already decoding, up to
+   ``prefill_concurrency`` parked rows each advance by at most one
+   chunk per step, so a late-arriving long prompt delays in-flight
+   decodes by a bounded chunk rather than a whole prompt-length
+   forward, and a burst of late arrivals prefills concurrently instead
+   of serializing behind one admission slot.  A row that consumed its
+   last prompt token joins the decode fleet and selects its first token
+   from this forward's last-token logits.
+2. **Decode rows** — every active sequence feeds one token, its last
+   produced, at depth ``lengths[b]``; the single-token rows share one
+   fused masked sub-attention over a stacked KV view.  Token selection
+   is vectorised: one batched ``argmax`` plus vectorised EOS/budget
+   masks, with per-row handling only for slots carrying a
+   ``step_bias`` hook or a ``top_k`` sampler.
+
+A sequence that hits EOS (or its token budget) retires immediately and
+its slot is compacted away (swap-with-last), so stragglers never pay
+for dead slots (continuous batching).  Without chunking the freed slots
+are refilled within the same step: the refill's prefill rows run one
+more packed forward of their own and decode from the very next step.
+With chunking the refill waits for the next step's admission, which
+keeps the one-chunk-per-step stall bound.
 
 KV storage
 ~~~~~~~~~~
 
-Two interchangeable cache backends sit behind the same adapter API:
-
-* **Dense slabs** (:class:`SlotKVCaches`, the default) — one
-  pre-allocated ``(max_batch, n_heads, max_seq_len, head_dim)`` slab per
-  layer per K/V.  Simple and copy-free (adapters return slab views),
-  but resident memory is ``max_batch × max_seq_len`` whatever the fleet
-  actually holds, and compaction copies slab prefixes.
-* **Paged pool** (:class:`PagedKVCaches`, ``kv_page_tokens``) — K/V
-  live in fixed-size *pages* (``kv_page_tokens`` tokens each) drawn
-  from one shared free list; each slot owns a *block table* of page
-  ids shared by every layer.  Pages are allocated on demand as prefill
-  and decode write tokens and return to the free list on retire or
-  cancel, so resident memory scales with **live tokens**, not with
-  ``max_batch × max_seq_len``; storage itself grows lazily in small
-  extents up to ``kv_pool_pages``.  Compaction (``move`` /
-  ``move_prefix`` / ``permute_prefixes``) degenerates to O(1) block
-  -table moves instead of slab memcpys.  Admission reserves each
-  sequence's worst-case page quota (``ceil((prompt+budget)/page)``) up
-  front: when the pool cannot cover a request it simply stays pending
-  until pages free up — deadlock-free because a lone sequence always
-  fits (enforced at construction) — and the serving layer surfaces the
-  shrinking ``free_pages`` headroom through ``/metrics`` before
-  admission control starts returning 429s.  Attention reads gather each
-  row's pages into a contiguous scratch prefix (one fancy-index per
-  row per layer, reused buffers); the fresh-batch prefill path needs no
-  gather at all.  Paged and dense decoding are token-for-token
-  identical — pinned by the differential fuzz harness across page sizes
-  {1, 3, 16, 64}.
+K/V live in one paged pool (:class:`PagedKVCaches`): fixed-size *pages*
+(``kv_page_tokens`` tokens each, :data:`~repro.config.DEFAULT_KV_PAGE_TOKENS`
+by default) drawn from one shared free list; each slot owns a *block
+table* of page ids shared by every layer.  Pages are allocated on
+demand as prefill and decode write tokens and return to the free list
+on retire or cancel, so resident memory scales with **live tokens**,
+not with ``max_batch × max_seq_len``; storage itself grows lazily in
+small extents up to ``kv_pool_pages``.  Compaction (``move`` /
+``move_prefix`` / ``permute_prefixes``) is an O(1) block-table move.
+Admission reserves each sequence's worst-case page quota
+(``ceil((prompt+budget)/page)``) up front: when the pool cannot cover a
+request it simply stays pending until pages free up — deadlock-free
+because a lone sequence always fits (enforced at construction) — and
+the serving layer surfaces the shrinking ``free_pages`` headroom through
+``/metrics`` before admission control starts returning 429s.  Attention
+reads a contiguous per-slot mirror of each row's pages; a row whose
+mirror lags (moved by compaction, reattached after preemption) catches
+up with one fancy-index gather per layer.  Every page size decodes the
+same tokens — the fuzz harness pins page sizes {1, 3, 16, 64} and one
+page per sequence (``kv_page_tokens = max_seq_len``).
 
 * **Streaming intake.**  The same machinery is exposed incrementally —
   ``submit()`` enqueues a request at any time, ``step()`` advances the
@@ -107,12 +88,15 @@ Two interchangeable cache backends sit behind the same adapter API:
   :meth:`TransformerLM.generate`'s top-k sampling inside the batch — a
   request's draws depend only on its own rng, never on its batch-mates.
 
-Batched decode GEMMs round differently from single-row GEMMs at the last
-ulp, so decode logits are not bit-identical across batch sizes — but
-greedy argmax margins are many orders of magnitude wider, and the test
-suite pins token-for-token parity with the sequential path on every edge
-case (ragged prompts, EOS at different steps, prompt-too-long,
-per-sequence biases, chunked vs unchunked prefill, seeded top-k).
+The engine's forward is float32 end to end, while the sequential
+reference (:meth:`TransformerLM.generate`) scores attention in float64,
+and batched GEMMs round differently from single-row GEMMs at the last
+ulp: engine logits are therefore not bit-identical to the sequential
+path's.  Greedy argmax margins are many orders of magnitude wider, and
+the test suite pins token-for-token parity with the sequential path on
+every edge case (ragged prompts, EOS at different steps,
+prompt-too-long, per-sequence biases, chunked vs unchunked prefill,
+seeded top-k, preemption).
 """
 
 from __future__ import annotations
@@ -125,7 +109,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..config import DEFAULT_GEN_BATCH_SIZE
+from ..config import DEFAULT_GEN_BATCH_SIZE, DEFAULT_KV_PAGE_TOKENS
 from ..errors import GenerationError
 from .transformer import TransformerLM, _sample_top_k
 
@@ -288,336 +272,6 @@ class InductionCopyBias:
             logits_row[followers] += self._half
 
 
-class SlotKVCaches:
-    """Pre-allocated per-layer K/V slabs with per-slot lengths.
-
-    Layout is ``(max_batch, n_heads, capacity, head_dim)`` per layer,
-    left-aligned: slot ``b`` owns columns ``[0, lengths[b])``.  Unlike the
-    legacy concat cache this never reallocates, and refilling a retired
-    slot simply overwrites from column zero (stale columns beyond the new
-    length are hidden by the key mask).
-    """
-
-    def __init__(self, model: TransformerLM, max_batch: int):
-        cfg = model.config
-        shape = (max_batch, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
-        self.k = [np.zeros(shape, dtype=np.float32) for _ in model.blocks]
-        self.v = [np.zeros(shape, dtype=np.float32) for _ in model.blocks]
-        self.lengths = np.zeros(max_batch, dtype=np.int64)
-        self.max_batch = max_batch
-
-    # -- page-pool protocol (dense slabs hold every token up front) ------------
-    def pages_for(self, tokens: int) -> int:
-        """Dense slabs are not paged: every admission costs zero pages."""
-        return 0
-
-    def try_reserve(self, n_pages: int) -> bool:
-        return True
-
-    def unreserve(self, n_pages: int) -> None:
-        pass
-
-    def admit_shared(
-        self, prompt_ids: list[int], total_pages: int
-    ) -> tuple[int, int, list[int]] | None:
-        """Dense admission: no pages, no sharing — always admits with an
-        empty shared prefix.  (See :meth:`PagedKVCaches.admit_shared`.)"""
-        return 0, 0, []
-
-    def attach_prefix(self, slot: int, pages: list[int], matched: int) -> None:
-        raise GenerationError("dense KV slabs cannot attach shared pages")
-
-    def register_prefix(self, slot: int, prompt_ids: list[int]) -> None:
-        """Dense slabs have no prefix index: nothing to register."""
-
-    def clear_prefix_cache(self) -> int:
-        return 0
-
-    def release(self, slot: int) -> None:
-        """Nothing to free: a refill overwrites from column zero and the
-        key mask hides stale columns."""
-
-    # -- preemption (dense fallback: copy-out / copy-in) -----------------------
-    def detach_slot(self, slot: int) -> tuple:
-        """Copy ``slot``'s written K/V prefix out into private buffers.
-
-        The dense twin of the paged backend's O(1) block-table detach:
-        a preempted sequence's resident KV is copied aside so the slot
-        can be compacted away, and copied back at resume
-        (:meth:`restore_slot`).  Returns an opaque payload.
-        """
-        length = int(self.lengths[slot])
-        ks = [self.k[layer][slot, :, :length].copy() for layer in range(len(self.k))]
-        vs = [self.v[layer][slot, :, :length].copy() for layer in range(len(self.v))]
-        return ks, vs
-
-    def restore_slot(self, slot: int, payload: tuple, length: int) -> None:
-        """Copy a detached sequence's K/V back into ``slot`` (resume)."""
-        ks, vs = payload
-        for layer in range(len(self.k)):
-            self.k[layer][slot, :, :length] = ks[layer]
-            self.v[layer][slot, :, :length] = vs[layer]
-        self.lengths[slot] = length
-
-    def stats(self) -> dict:
-        """Occupancy/residency counters (shape-compatible with the pool's)."""
-        slab = self.k[0]
-        resident = 2 * len(self.k) * slab.nbytes
-        return {
-            "paged": False,
-            "kv_page_tokens": None,
-            "total_pages": None,
-            "free_pages": None,
-            "reserved_pages": None,
-            "pages_in_use": None,
-            "peak_pages_in_use": None,
-            "allocated_pages": None,
-            "free_list_pages": None,
-            "resident_kv_bytes": resident,
-            "peak_resident_kv_bytes": resident,
-        }
-
-    def ragged_prefill_adapters(
-        self, slots: list[int], pads: np.ndarray, lens: list[int]
-    ) -> list["_RaggedPrefillSlots"]:
-        return [
-            _RaggedPrefillSlots(self, layer, slots, pads)
-            for layer in range(len(self.k))
-        ]
-
-    def ragged_chunk_adapters(
-        self, base: int, starts: np.ndarray, ends: np.ndarray, pads: np.ndarray
-    ) -> list["_RaggedChunkSlots"]:
-        return [
-            _RaggedChunkSlots(self, layer, base, starts, ends, pads)
-            for layer in range(len(self.k))
-        ]
-
-    def packed_adapters(
-        self, starts: np.ndarray, ends: np.ndarray, spans: np.ndarray,
-        n_ones: int,
-    ) -> list["_PackedSlots"]:
-        """Adapters for one unified packed varlen forward over slots
-        ``0 .. len(starts)``: row ``i``'s new tokens occupy the packed
-        token axis ``[spans[i], spans[i+1])`` and land in slab columns
-        ``[starts[i], ends[i])``; attention reads each row's whole
-        written prefix as a copy-free slab view.  The first ``n_ones``
-        rows are single-token (decode-shaped) and are scattered with one
-        fancy-index store instead of a per-row loop."""
-        return [
-            _PackedSlots(self, layer, starts, ends, spans, n_ones)
-            for layer in range(len(self.k))
-        ]
-
-    def step_adapters(self, n_active: int, view_len: int) -> list["_StepSlot"]:
-        return [
-            _StepSlot(self, layer, n_active, view_len)
-            for layer in range(len(self.k))
-        ]
-
-    def move(self, src: int, dst: int) -> None:
-        """Copy slot ``src`` over slot ``dst`` (batch compaction).
-
-        Only the written ``lengths[src]``-column prefix moves: columns
-        beyond it hold stale data the key mask hides anyway, and at
-        serving scale the full-capacity copy dominated retire cost.
-        """
-        length = int(self.lengths[src])
-        for layer in range(len(self.k)):
-            self.k[layer][dst, :, :length] = self.k[layer][src, :, :length]
-            self.v[layer][dst, :, :length] = self.v[layer][src, :, :length]
-        self.lengths[dst] = self.lengths[src]
-
-    def move_prefix(self, src: int, dst: int, length: int) -> None:
-        """Copy only columns ``[0, length)`` of slot ``src`` over ``dst``.
-
-        Used to shift a partially prefilled (parked) slot, whose columns
-        beyond ``length`` hold no data worth a full-capacity copy.
-
-        Compaction contract (both backends): after the move, ``dst``
-        holds exactly the ``length``-token prefix and ``lengths[dst] ==
-        length`` — callers must not have to patch lengths afterwards.
-        """
-        for layer in range(len(self.k)):
-            self.k[layer][dst, :, :length] = self.k[layer][src, :, :length]
-            self.v[layer][dst, :, :length] = self.v[layer][src, :, :length]
-        self.lengths[dst] = length
-
-    def permute_prefixes(
-        self, base: int, order: list[int], lengths: list[int]
-    ) -> None:
-        """Rearrange parked rows so ``base + order[j]`` lands on ``base + j``.
-
-        Copies only each row's ``lengths[j]``-column prefix (the written
-        part of a parked partial slab).  Used when parked prompts finish
-        prefill out of submission order: completed rows must become the
-        next contiguous decode slots, so the slab block is permuted to
-        completed-first before they are installed.
-
-        Compaction contract (both backends): row ``base + j`` ends up
-        holding order ``order[j]``'s prefix with ``lengths[base + j] ==
-        lengths[j]`` recorded in the cache.
-        """
-        for layer in range(len(self.k)):
-            for slab in (self.k[layer], self.v[layer]):
-                blocks = [
-                    slab[base + i, :, :n].copy()
-                    for i, n in zip(order, lengths)
-                ]
-                for j, (block, n) in enumerate(zip(blocks, lengths)):
-                    slab[base + j, :, :n] = block
-        for j, n in enumerate(lengths):
-            self.lengths[base + j] = n
-
-
-class _RaggedPrefillSlots:
-    """Cache adapter for one ragged right-aligned prefill batch.
-
-    Returns the fresh right-aligned K/V unchanged (attention sees exactly
-    the batch it computed, with pads hidden by the key mask) while
-    scattering each row's valid ``[pad:, :]`` suffix into its slot's
-    left-aligned slab columns ``[0, len)`` for the decode phase.
-    """
-
-    __slots__ = ("caches", "layer", "slots", "pads")
-
-    def __init__(
-        self, caches: SlotKVCaches, layer: int, slots: list[int], pads: np.ndarray
-    ):
-        self.caches = caches
-        self.layer = layer
-        self.slots = slots
-        self.pads = pads
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        t = k.shape[2]
-        for row, slot in enumerate(self.slots):
-            pad = int(self.pads[row])
-            self.caches.k[self.layer][slot, :, : t - pad] = k[row, :, pad:]
-            self.caches.v[self.layer][slot, :, : t - pad] = v[row, :, pad:]
-        return k, v
-
-
-class _RaggedChunkSlots:
-    """Cache adapter for one ragged chunk-continuation batch.
-
-    Row ``i`` is the parked slot ``base + i`` advancing its prompt by a
-    right-aligned chunk spanning slab columns ``[starts[i], ends[i])``:
-    the chunk's valid K/V suffix (past the ``pads[i]`` left-pad) lands in
-    those columns, and the returned view covers every parked row's whole
-    written prefix — chunk queries attend over all keys prefilled so far,
-    with the per-row ``key_lens`` of the attention core hiding the
-    columns beyond each row's own end.
-    """
-
-    __slots__ = ("caches", "layer", "base", "starts", "ends", "pads")
-
-    def __init__(
-        self,
-        caches: SlotKVCaches,
-        layer: int,
-        base: int,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        pads: np.ndarray,
-    ):
-        self.caches = caches
-        self.layer = layer
-        self.base = base
-        self.starts = starts
-        self.ends = ends
-        self.pads = pads
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        c = self.caches
-        view = int(self.ends.max())
-        n = k.shape[0]
-        for row in range(n):
-            slot = self.base + row
-            start = int(self.starts[row])
-            end = int(self.ends[row])
-            pad = int(self.pads[row])
-            c.k[self.layer][slot, :, start:end] = k[row, :, pad:]
-            c.v[self.layer][slot, :, start:end] = v[row, :, pad:]
-        return (
-            c.k[self.layer][self.base : self.base + n, :, :view],
-            c.v[self.layer][self.base : self.base + n, :, :view],
-        )
-
-
-class _PackedSlots:
-    """Cache adapter for one packed varlen unified forward (dense slabs).
-
-    ``update`` receives ``(1, H, T_total, Dh)`` — every row's new K/V
-    concatenated on the token axis — and scatters row ``i``'s
-    ``[spans[i], spans[i+1])`` segment into its slab columns
-    ``[starts[i], ends[i])``.  The first ``n_ones`` (decode-shaped)
-    rows come back as one stacked ``(n_ones, H, view, Dh)`` slab view
-    for the fused masked sub-attention; each chunk row comes back as a
-    view of its own whole written prefix (zero copies either way).
-    """
-
-    __slots__ = ("caches", "layer", "starts", "ends", "spans", "n_ones")
-
-    def __init__(self, caches, layer, starts, ends, spans, n_ones):
-        self.caches = caches
-        self.layer = layer
-        self.starts = starts
-        self.ends = ends
-        self.spans = spans
-        self.n_ones = n_ones
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        sk = self.caches.k[self.layer]
-        sv = self.caches.v[self.layer]
-        spans, starts, ends = self.spans, self.starts, self.ends
-        ones = self.n_ones
-        ones_k = ones_v = None
-        if ones:
-            # Both sides put the row axis first: the combined (int, fancy)
-            # index on k and the (fancy, :, fancy) slab index each
-            # broadcast to (ones, H, Dh).
-            rows = np.arange(ones)
-            sk[rows, :, starts[:ones]] = k[0, :, spans[:ones], :]
-            sv[rows, :, starts[:ones]] = v[0, :, spans[:ones], :]
-            view = int(ends[:ones].max())
-            ones_k = sk[:ones, :, :view]
-            ones_v = sv[:ones, :, :view]
-        keys, vals = [], []
-        for row in range(ones, len(starts)):
-            s, e = int(spans[row]), int(spans[row + 1])
-            end = int(ends[row])
-            sk[row, :, int(starts[row]) : end] = k[0, :, s:e]
-            sv[row, :, int(starts[row]) : end] = v[0, :, s:e]
-            keys.append(sk[row, :, :end])
-            vals.append(sv[row, :, :end])
-        return ones_k, ones_v, keys, vals
-
-
-class _StepSlot:
-    """Cache adapter for one batched decode step over the active slots."""
-
-    __slots__ = ("caches", "layer", "n_active", "view_len")
-
-    def __init__(self, caches: SlotKVCaches, layer: int, n_active: int, view_len: int):
-        self.caches = caches
-        self.layer = layer
-        self.n_active = n_active
-        self.view_len = view_len
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        c = self.caches
-        n = self.n_active
-        rows = np.arange(n)
-        write_at = c.lengths[:n]
-        c.k[self.layer][rows, :, write_at] = k[:, :, 0, :]
-        c.v[self.layer][rows, :, write_at] = v[:, :, 0, :]
-        return (
-            c.k[self.layer][:n, :, : self.view_len],
-            c.v[self.layer][:n, :, : self.view_len],
-        )
-
-
 class _RadixNode:
     """One full page of token ids in the prefix-cache radix index.
 
@@ -662,13 +316,13 @@ class PagedKVCaches:
     ``_alloc_page`` can never fail mid-decode; ``release`` returns a
     slot's pages, and the compaction hooks (``move`` / ``move_prefix`` /
     ``permute_prefixes``) are O(1) block-table moves — no K/V bytes are
-    copied, which is the second structural win over dense slabs.
+    copied.
 
     Attention never reads the pages directly: a contiguous per-slot
     **mirror** — allocated lazily to the *live* fleet's peak rows × peak
     view, not to ``max_batch × max_seq_len`` — shadows each row's page
     prefix, so the hot decode path writes one column to pages + mirror
-    and attends over copy-free mirror views exactly like dense slabs.
+    and attends over copy-free mirror views.
     The mirror is pure cache: ``_mirror_len[row]`` tracks its valid
     prefix, compaction invalidates moved rows instead of copying bytes,
     and the next step lazily re-gathers an invalidated row's
@@ -1019,8 +673,8 @@ class PagedKVCaches:
     # -- compaction: O(1) block-table moves ------------------------------------
     # No K/V byte moves anywhere below: tables are relinked and the
     # affected mirror rows are invalidated — the next step re-gathers a
-    # moved row's prefix lazily, instead of every compaction paying a
-    # slab copy up front (the dense path's cost).
+    # moved row's prefix lazily instead of every compaction paying a
+    # copy up front.
     def move(self, src: int, dst: int) -> None:
         self.release(dst)
         self.tables[dst] = self.tables[src]
@@ -1029,9 +683,9 @@ class PagedKVCaches:
         self._mirror_len[src] = 0
 
     def move_prefix(self, src: int, dst: int, length: int) -> None:
-        # Same compaction contract as the dense backend: dst ends up
-        # holding exactly the length-token prefix with lengths[dst]
-        # recorded — callers never patch lengths after a move.
+        # Compaction contract: dst ends up holding exactly the
+        # length-token prefix with lengths[dst] recorded — callers never
+        # patch lengths after a move.
         self.release(dst)
         self.tables[dst] = self.tables[src]
         self.tables[src] = []
@@ -1041,8 +695,9 @@ class PagedKVCaches:
     def permute_prefixes(
         self, base: int, order: list[int], lengths: list[int]
     ) -> None:
-        # Contract twin of SlotKVCaches.permute_prefixes: row base + j
-        # receives order[j]'s table *and* its recorded length.
+        # Row base + order[j]'s table moves to base + j with lengths[j]
+        # recorded, so completed parked rows become the next contiguous
+        # decode slots.
         block = [self.tables[base + i] for i in order]
         for j, (table, n) in enumerate(zip(block, lengths)):
             self.tables[base + j] = table
@@ -1231,97 +886,63 @@ class PagedKVCaches:
         compaction, or parked rows shifted to new slots)."""
         catchups = []
         for row, start, end in zip(rows, starts, ends):
-            row, start = int(row), int(start)
             have = int(self._mirror_len[row])
             if have < start:
                 catchups.append((row, self._token_cols(row, have, start), have))
-            self._mirror_len[row] = int(end)
+            self._mirror_len[row] = end
         return catchups
 
-    # -- adapters ----------------------------------------------------------------
-    def ragged_prefill_adapters(
-        self, slots: list[int], pads: np.ndarray, lens: list[int]
-    ) -> list["_PagedPrefillSlots"]:
-        for slot, n in zip(slots, lens):
-            self.ensure(slot, n)
-        self._ensure_mirror(max(slots) + 1, max(lens))
-        write_cols = [
-            self._token_cols(slot, 0, n) for slot, n in zip(slots, lens)
-        ]
-        for slot, n in zip(slots, lens):
-            self._mirror_len[slot] = n
-        return [
-            _PagedPrefillSlots(self, layer, pads, slots, write_cols)
-            for layer in range(self.n_layers)
-        ]
-
-    def ragged_chunk_adapters(
-        self, base: int, starts: np.ndarray, ends: np.ndarray, pads: np.ndarray
-    ) -> list["_PagedRaggedSlots"]:
-        n = len(starts)
-        for i in range(n):
-            self._prepare_write(base + i, int(starts[i]), int(ends[i]))
-        view = int(ends.max())
-        self._ensure_mirror(base + n, view)
-        write_cols = [
-            self._token_cols(base + i, int(starts[i]), int(ends[i]))
-            for i in range(n)
-        ]
-        catchups = self._mirror_plan(range(base, base + n), starts, ends)
-        return [
-            _PagedRaggedSlots(
-                self, layer, base, starts, ends, pads, write_cols, catchups,
-                view,
-            )
-            for layer in range(self.n_layers)
-        ]
-
+    # -- the packed forward ------------------------------------------------------
     def packed_adapters(
-        self, starts: np.ndarray, ends: np.ndarray, spans: np.ndarray,
-        n_ones: int,
+        self, first: int, starts: np.ndarray, ends: np.ndarray,
+        spans: np.ndarray, n_ones: int,
     ) -> list["_PackedPagedSlots"]:
+        """Per-layer adapters for one packed varlen forward.
+
+        Row ``i`` is slot ``first + i``: its new tokens occupy the packed
+        token axis ``[spans[i], spans[i+1])`` and land in the slot's
+        columns ``[starts[i], ends[i])``.  The first ``n_ones`` rows are
+        single-token (decode-shaped) and scatter with one fancy-index
+        store per layer instead of a per-row loop.  Everything the
+        layers share — write columns, catch-up gathers, per-row extents
+        — is planned here once, so the per-step Python cost is O(rows).
+        """
         n = len(starts)
         p = self.page_tokens
-        for i in range(n):
-            self._prepare_write(i, int(starts[i]), int(ends[i]))
-        self._ensure_mirror(n, int(ends.max()))
-        # The first n_ones rows write exactly one column each: collapse
-        # their scatters into one fancy-index store per layer.
-        one_cols = np.asarray(
-            [
-                self.tables[i][int(starts[i]) // p] * p + int(starts[i]) % p
-                for i in range(n_ones)
-            ],
-            dtype=np.int64,
-        )
-        ones_view = int(ends[:n_ones].max()) if n_ones else 0
-        write_cols = [
-            self._token_cols(i, int(starts[i]), int(ends[i]))
+        slots = range(first, first + n)
+        start_list, end_list = starts.tolist(), ends.tolist()
+        for slot, start, end in zip(slots, start_list, end_list):
+            self._prepare_write(slot, start, end)
+        self._ensure_mirror(first + n, max(end_list))
+        ones = None
+        if n_ones:
+            one_cols = np.asarray(
+                [
+                    self.tables[first + i][t // p] * p + t % p
+                    for i, t in enumerate(start_list[:n_ones])
+                ],
+                dtype=np.int64,
+            )
+            ones = (
+                spans[:n_ones],
+                one_cols,
+                np.arange(first, first + n_ones),
+                starts[:n_ones],
+                slice(first, first + n_ones),
+                max(end_list[:n_ones]),
+            )
+        span_list = spans.tolist()
+        chunks = [
+            (
+                first + i, span_list[i], span_list[i + 1],
+                start_list[i], end_list[i],
+                self._token_cols(first + i, start_list[i], end_list[i]),
+            )
             for i in range(n_ones, n)
         ]
-        catchups = self._mirror_plan(range(n), starts, ends)
+        catchups = self._mirror_plan(slots, start_list, end_list)
         return [
-            _PackedPagedSlots(
-                self, layer, spans, n_ones, one_cols, ones_view, starts, ends,
-                write_cols, catchups,
-            )
-            for layer in range(self.n_layers)
-        ]
-
-    def step_adapters(self, n_active: int, view_len: int) -> list["_PagedStepSlots"]:
-        write_cols = np.empty(n_active, dtype=np.int64)
-        p = self.page_tokens
-        starts = self.lengths[:n_active]
-        for row in range(n_active):
-            t = int(starts[row])
-            self._prepare_write(row, t, t + 1)
-            write_cols[row] = self.tables[row][t // p] * p + t % p
-        self._ensure_mirror(n_active, view_len)
-        catchups = self._mirror_plan(range(n_active), starts, starts + 1)
-        return [
-            _PagedStepSlots(
-                self, layer, write_cols, starts.copy(), catchups, view_len
-            )
+            _PackedPagedSlots(self, layer, ones, chunks, catchups)
             for layer in range(self.n_layers)
         ]
 
@@ -1334,7 +955,6 @@ class PagedKVCaches:
 
     def stats(self) -> dict:
         stats = {
-            "paged": True,
             "kv_page_tokens": self.page_tokens,
             "total_pages": self.max_pages,
             "free_pages": (
@@ -1369,111 +989,24 @@ class PagedKVCaches:
         return stats
 
 
-class _PagedPrefillSlots:
-    """Paged twin of :class:`_RaggedPrefillSlots`: scatter each row's
-    valid suffix into its block-table pages *and* its mirror row;
-    attention sees the fresh right-aligned batch unchanged, so prefill
-    itself needs no gather."""
+class _PackedPagedSlots:
+    """One layer's view of a packed varlen forward over the paged pool.
 
-    __slots__ = ("pool", "layer", "pads", "slots", "write_cols")
-
-    def __init__(self, pool, layer, pads, slots, write_cols):
-        self.pool = pool
-        self.layer = layer
-        self.pads = pads
-        self.slots = slots
-        self.write_cols = write_cols
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        pool = self.pool
-        pk, pv = pool.k[self.layer], pool.v[self.layer]
-        mk, mv = pool.mk[self.layer], pool.mv[self.layer]
-        for row, (slot, cols) in enumerate(zip(self.slots, self.write_cols)):
-            pad = int(self.pads[row])
-            pk[:, cols, :] = k[row, :, pad:, :]
-            pv[:, cols, :] = v[row, :, pad:, :]
-            mk[slot, :, : len(cols)] = k[row, :, pad:, :]
-            mv[slot, :, : len(cols)] = v[row, :, pad:, :]
-        return k, v
-
-
-class _PagedRaggedSlots:
-    """Paged chunk-continuation adapter (split-schedule path).
-
-    Row ``i`` (slot ``base + i``) writes its chunk's valid suffix into
-    page columns ``write_cols[i]`` and the matching mirror span; any
-    row whose mirror lagged (compaction moved it) catches up from its
-    pages first.  Attention receives the mirror block view — tails
-    beyond each row's own ``key_lens`` are never read by the ragged
-    per-row core.
+    Each row's new K/V (its packed segment) scatter into its block-table
+    columns and its mirror row; lagging mirror rows catch up from their
+    pages first.  The decode-shaped rows come back as one stacked mirror
+    view for the fused masked sub-attention (the key mask hides columns
+    past each row's length); each chunk row comes back as its own
+    exact-prefix mirror view — no copies anywhere on the steady path.
     """
 
-    __slots__ = (
-        "pool", "layer", "base", "starts", "ends", "pads", "write_cols",
-        "catchups", "view",
-    )
+    __slots__ = ("pool", "layer", "ones", "chunks", "catchups")
 
-    def __init__(self, pool, layer, base, starts, ends, pads, write_cols,
-                 catchups, view):
+    def __init__(self, pool, layer, ones, chunks, catchups):
         self.pool = pool
         self.layer = layer
-        self.base = base
-        self.starts = starts
-        self.ends = ends
-        self.pads = pads
-        self.write_cols = write_cols
-        self.catchups = catchups
-        self.view = view
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        pool = self.pool
-        pk, pv = pool.k[self.layer], pool.v[self.layer]
-        mk, mv = pool.mk[self.layer], pool.mv[self.layer]
-        for row, cols, have in self.catchups:
-            mk[row, :, have : have + len(cols)] = pk[:, cols, :]
-            mv[row, :, have : have + len(cols)] = pv[:, cols, :]
-        base, n = self.base, k.shape[0]
-        for row in range(n):
-            wc = self.write_cols[row]
-            pad = int(self.pads[row])
-            start, end = int(self.starts[row]), int(self.ends[row])
-            pk[:, wc, :] = k[row, :, pad:, :]
-            pv[:, wc, :] = v[row, :, pad:, :]
-            mk[base + row, :, start:end] = k[row, :, pad:, :]
-            mv[base + row, :, start:end] = v[row, :, pad:, :]
-        return (
-            mk[base : base + n, :, : self.view],
-            mv[base : base + n, :, : self.view],
-        )
-
-
-class _PackedPagedSlots:
-    """Packed varlen unified-forward adapter over the paged pool.
-
-    Row ``i``'s new K/V (packed segment ``[spans[i], spans[i+1])``)
-    scatter into its block-table columns and its mirror row (lagging
-    rows catch up from their pages first).  The fused decode
-    sub-attention reads the stacked ``mirror[:n_ones, :, :view]`` view
-    (stale columns past each row's length are hidden by the key mask,
-    exactly the dense slab semantics); each chunk row reads its own
-    exact-prefix mirror view — no copies anywhere on the steady path."""
-
-    __slots__ = (
-        "pool", "layer", "spans", "n_ones", "one_cols", "ones_view",
-        "starts", "ends", "write_cols", "catchups",
-    )
-
-    def __init__(self, pool, layer, spans, n_ones, one_cols, ones_view,
-                 starts, ends, write_cols, catchups):
-        self.pool = pool
-        self.layer = layer
-        self.spans = spans
-        self.n_ones = n_ones
-        self.one_cols = one_cols
-        self.ones_view = ones_view
-        self.starts = starts
-        self.ends = ends
-        self.write_cols = write_cols
+        self.ones = ones
+        self.chunks = chunks
         self.catchups = catchups
 
     def update(self, k: np.ndarray, v: np.ndarray):
@@ -1481,76 +1014,32 @@ class _PackedPagedSlots:
         pk = pool.k[self.layer]
         pv = pool.v[self.layer]
         mk, mv = pool.mk[self.layer], pool.mv[self.layer]
-        spans, ones = self.spans, self.n_ones
         for row, cols, have in self.catchups:
             mk[row, :, have : have + len(cols)] = pk[:, cols, :]
             mv[row, :, have : have + len(cols)] = pv[:, cols, :]
         ones_k = ones_v = None
-        if ones:
+        if self.ones is not None:
+            at, cols, rows, starts, block, view = self.ones
             # k[0, :, fancy, :] broadcasts row-first to (ones, H, Dh);
             # the pool's in-place column index expects (H, ones, Dh),
             # while the mirror's (fancy, :, fancy) index is row-first.
-            new_k = k[0, :, spans[:ones], :]
-            new_v = v[0, :, spans[:ones], :]
-            pk[:, self.one_cols, :] = new_k.transpose(1, 0, 2)
-            pv[:, self.one_cols, :] = new_v.transpose(1, 0, 2)
-            rows = np.arange(ones)
-            mk[rows, :, self.starts[:ones]] = new_k
-            mv[rows, :, self.starts[:ones]] = new_v
-            ones_k = mk[:ones, :, : self.ones_view]
-            ones_v = mv[:ones, :, : self.ones_view]
+            new_k = k[0, :, at, :]
+            new_v = v[0, :, at, :]
+            pk[:, cols, :] = new_k.transpose(1, 0, 2)
+            pv[:, cols, :] = new_v.transpose(1, 0, 2)
+            mk[rows, :, starts] = new_k
+            mv[rows, :, starts] = new_v
+            ones_k = mk[block, :, :view]
+            ones_v = mv[block, :, :view]
         keys, vals = [], []
-        for row, wc in enumerate(self.write_cols, start=ones):
-            s, e = int(spans[row]), int(spans[row + 1])
-            start, end = int(self.starts[row]), int(self.ends[row])
-            pk[:, wc, :] = k[0, :, s:e]
-            pv[:, wc, :] = v[0, :, s:e]
-            mk[row, :, start:end] = k[0, :, s:e]
-            mv[row, :, start:end] = v[0, :, s:e]
-            keys.append(mk[row, :, :end])
-            vals.append(mv[row, :, :end])
+        for slot, s, e, start, end, cols in self.chunks:
+            pk[:, cols, :] = k[0, :, s:e]
+            pv[:, cols, :] = v[0, :, s:e]
+            mk[slot, :, start:end] = k[0, :, s:e]
+            mv[slot, :, start:end] = v[0, :, s:e]
+            keys.append(mk[slot, :, :end])
+            vals.append(mv[slot, :, :end])
         return ones_k, ones_v, keys, vals
-
-
-class _PagedStepSlots:
-    """Paged twin of :class:`_StepSlot` for the fused decode forward.
-
-    All rows write their one new token to pages and mirror in a single
-    fancy-index store each (lagging rows catch up from their pages
-    first); attention reads the stacked ``mirror[:n, :, :view]`` view —
-    zero copies on the steady decode path, with the key mask hiding
-    stale columns exactly as on dense slabs."""
-
-    __slots__ = ("pool", "layer", "write_cols", "write_at", "catchups",
-                 "view_len")
-
-    def __init__(self, pool, layer, write_cols, write_at, catchups, view_len):
-        self.pool = pool
-        self.layer = layer
-        self.write_cols = write_cols
-        self.write_at = write_at
-        self.catchups = catchups
-        self.view_len = view_len
-
-    def update(self, k: np.ndarray, v: np.ndarray):
-        pool = self.pool
-        pk, pv = pool.k[self.layer], pool.v[self.layer]
-        mk, mv = pool.mk[self.layer], pool.mv[self.layer]
-        for row, cols, have in self.catchups:
-            mk[row, :, have : have + len(cols)] = pk[:, cols, :]
-            mv[row, :, have : have + len(cols)] = pv[:, cols, :]
-        n = k.shape[0]
-        new_k = k[:, :, 0, :]
-        new_v = v[:, :, 0, :]
-        pk[:, self.write_cols, :] = new_k.transpose(1, 0, 2)
-        pv[:, self.write_cols, :] = new_v.transpose(1, 0, 2)
-        rows = np.arange(n)
-        mk[rows, :, self.write_at] = new_k
-        mv[rows, :, self.write_at] = new_v
-        return (
-            mk[:n, :, : self.view_len],
-            mv[:n, :, : self.view_len],
-        )
 
 
 @dataclass
@@ -1572,10 +1061,9 @@ class _SlotState:
     #: the parked-prefill machinery re-feeds exactly one token — the
     #: interrupted decode step — and nothing of the prompt is re-prefilled.
     resume_ids: list[int] | None = None
-    #: Detached KV payload while suspended: a block table (paged) or the
-    #: copied-out K/V buffers (dense); ``None`` once reattached or when
-    #: the sequence was demoted to cold re-prefill.
-    detached: tuple | None = None
+    #: Detached block table while suspended; ``None`` once reattached
+    #: or when the sequence was demoted to cold re-prefill.
+    detached: list[int] | None = None
     #: Pages to re-reserve at resume (the worst-case remainder the
     #: preemption released back to the pool).
     suspend_reserve: int = 0
@@ -1610,17 +1098,18 @@ class BatchedEngine:
       pops finished ``{seq_id: tokens}`` results.  This is the substrate
       of the online revision service (:mod:`repro.serving`).
 
+    Every step runs one packed varlen forward whose rows are the decode
+    fleet (one token each) plus the parked prefill rows.
     ``prefill_chunk_tokens`` bounds how much prefill work a single
     :meth:`step` may do while other slots are decoding: each refill
     prompt advances by at most one chunk per step, so in-flight decodes
     are never stalled behind a whole prompt-length forward.  Up to
     ``prefill_concurrency`` refill prompts advance *concurrently* —
-    parked contiguously past the decode fleet, all chunks in one ragged
-    forward per step — so a burst of late arrivals prefills together
-    instead of serializing behind a single admission slot; the stall
-    bound a step pays is one ragged chunk forward, whatever the burst
-    size.  When the fleet is idle there is nothing to stall and
-    admission always uses the full ragged batched prefill.
+    parked contiguously past the decode fleet, every chunk a row of the
+    same forward — so a burst of late arrivals prefills together instead
+    of serializing behind a single admission slot.  When the fleet is
+    idle there is nothing to stall and every parked prompt prefills
+    whole.
 
     :meth:`cancel` abandons a submitted sequence in any state — queued,
     mid-prefill, or decoding — finishing it with the tokens produced so
@@ -1628,42 +1117,33 @@ class BatchedEngine:
     produced).  The serving scheduler uses it to expire deadline-missed
     jobs without spending further engine work on them.
 
-    ``kv_page_tokens`` switches the KV backend from dense per-slot slabs
-    to the paged pool (:class:`PagedKVCaches`): KV memory then scales
-    with live tokens instead of ``max_batch × max_seq_len``, compaction
-    becomes O(1) block-table moves, and admission additionally reserves
-    each sequence's worst-case page quota against ``kv_pool_pages`` —
-    a request the pool cannot cover simply waits in the pending queue
-    until retirements free pages (see :meth:`kv_stats` for the headroom
-    counters the serving layer exports).  Paged and dense decoding are
-    token-for-token identical.
+    K/V live in the paged pool (:class:`PagedKVCaches`) with
+    ``kv_page_tokens``-token pages: KV memory scales with live tokens
+    instead of ``max_batch × max_seq_len``, compaction is an O(1)
+    block-table move, and admission reserves each sequence's worst-case
+    page quota against ``kv_pool_pages`` — a request the pool cannot
+    cover simply waits in the pending queue until retirements free
+    pages (see :meth:`kv_stats` for the headroom counters the serving
+    layer exports).  The page size never changes a token.
 
-    ``kv_prefix_cache`` (paged pool only) adds vLLM/SGLang-style prefix
-    sharing: a radix index over token-id prefixes maps previously
-    prefilled prompt pages to refcounted read-only pages.  A matching
-    admission borrows those pages, charges only its unshared suffix
-    against the pool quota, and prefills from the first divergent token;
-    the first write past a shared boundary copy-on-writes that one page
-    (see ``docs/prefix_cache.md``).  Scheduling still never changes
-    tokens: a shared prefix holds the same K/V values a fresh prefill
-    would recompute, differing only by BLAS kernel-selection noise —
-    the same ulp-level noise the chunked-prefill path already absorbs
-    inside greedy argmax margins.
+    ``kv_prefix_cache`` adds vLLM/SGLang-style prefix sharing: a radix
+    index over token-id prefixes maps previously prefilled prompt pages
+    to refcounted read-only pages.  A matching admission borrows those
+    pages, charges only its unshared suffix against the pool quota, and
+    prefills from the first divergent token; the first write past a
+    shared boundary copy-on-writes that one page (see
+    ``docs/prefix_cache.md``).  Scheduling still never changes tokens:
+    a shared prefix holds the same K/V values a fresh prefill would
+    recompute, differing only by BLAS kernel-selection noise — the same
+    ulp-level noise the chunked-prefill path already absorbs inside
+    greedy argmax margins.
 
-    ``unified_step`` (default) folds the parked chunk rows into the
-    decode forward even at chunk > 1 — one mixed-length ragged pass per
-    step instead of a chunk forward plus a decode forward.  ``False``
-    restores the split two-forward schedule (the benchmark uses it to
-    measure the merge win); tokens are identical either way.
-
-    The slot KV caches are allocated lazily on first use and reused
-    across drains: a refilled slot overwrites from column zero (dense;
-    the key mask hides stale columns) or starts a fresh block table
-    (paged), so results never depend on slot history.  The
-    engine is not thread-safe; a single driver (e.g. the serving worker
-    thread) must own all ``submit``/``step``/``collect`` calls, and
-    :meth:`generate` must not be interleaved with an external
-    :meth:`collect`.
+    The pool is allocated lazily on first use and reused across drains:
+    a refilled slot starts a fresh block table, so results never depend
+    on slot history.  The engine is not thread-safe; a single caller
+    (e.g. the serving worker thread) must own all
+    ``submit``/``step``/``collect`` calls, and :meth:`generate` must not
+    be interleaved with an external :meth:`collect`.
     """
 
     def __init__(
@@ -1672,10 +1152,9 @@ class BatchedEngine:
         max_batch: int = DEFAULT_GEN_BATCH_SIZE,
         prefill_chunk_tokens: int | None = None,
         prefill_concurrency: int = 1,
-        kv_page_tokens: int | None = None,
+        kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
         kv_pool_pages: int | None = None,
         kv_prefix_cache: bool = False,
-        unified_step: bool = True,
         preemption: bool = True,
     ):
         if max_batch < 1:
@@ -1688,23 +1167,16 @@ class BatchedEngine:
             raise GenerationError(
                 f"prefill_concurrency must be >= 1, got {prefill_concurrency}"
             )
-        if kv_page_tokens is not None and kv_page_tokens < 1:
+        if kv_page_tokens is None or kv_page_tokens < 1:
             raise GenerationError(
                 f"kv_page_tokens must be >= 1, got {kv_page_tokens}"
             )
-        if kv_pool_pages is not None:
-            if kv_page_tokens is None:
-                raise GenerationError(
-                    "kv_pool_pages requires kv_page_tokens (a paged cache)"
-                )
-            if kv_pool_pages < -(-model.config.max_seq_len // kv_page_tokens):
-                raise GenerationError(
-                    f"kv_pool_pages={kv_pool_pages} cannot hold one "
-                    "full-context sequence: admission could deadlock"
-                )
-        if kv_prefix_cache and kv_page_tokens is None:
+        if kv_pool_pages is not None and kv_pool_pages < -(
+            -model.config.max_seq_len // kv_page_tokens
+        ):
             raise GenerationError(
-                "kv_prefix_cache requires kv_page_tokens (a paged KV cache)"
+                f"kv_pool_pages={kv_pool_pages} cannot hold one "
+                "full-context sequence: admission could deadlock"
             )
         self.model = model
         self.max_batch = max_batch
@@ -1713,9 +1185,8 @@ class BatchedEngine:
         self.kv_page_tokens = kv_page_tokens
         self.kv_pool_pages = kv_pool_pages
         self.kv_prefix_cache = kv_prefix_cache
-        self.unified_step = unified_step
         self.preemption = preemption
-        self._caches: SlotKVCaches | PagedKVCaches | None = None
+        self._caches: PagedKVCaches | None = None
         self._bias: np.ndarray | None = None
         self._slots: list[_SlotState | None] = [None] * max_batch
         self._n_active = 0
@@ -1730,8 +1201,8 @@ class BatchedEngine:
         self._pending_scores: deque[tuple[int, ScoringRequest]] = deque()
         self._finished: dict[int, list[int] | SequenceScore | None] = {}
         self._next_id = 0
-        #: Mid-prefill requests (chunked admission), parked contiguously
-        #: at slots ``self._n_active ..`` — just past the decode fleet.
+        #: Mid-prefill requests, parked contiguously at slots
+        #: ``self._n_active ..`` — just past the decode fleet.
         self._prefilling: list[_SlotState] = []
         # Vectorised decode bookkeeping, maintained per occupied slot.
         self._eos = np.full(max_batch, -1, dtype=np.int64)
@@ -1817,7 +1288,7 @@ class BatchedEngine:
         The sequence finishes immediately with whatever tokens it has
         produced so far — an empty list while still queued or mid-prefill,
         a prefix of the full decode once active — and its slot (queue
-        entry, parked partial slab, or KV slot) is reclaimed.  Unknown or
+        entry, parked block table, or KV slot) is reclaimed.  Unknown or
         already-finished ids return False and change nothing.
         """
         if seq_id in self._finished:
@@ -1877,10 +1348,10 @@ class BatchedEngine:
         """Evict one *active* decode; it resumes later with identical tokens.
 
         The sequence's resident KV is detached — an O(1) block-table
-        detach on the paged pool (pages stay allocated; the worst-case
-        *unwritten* remainder of its reservation returns to the pool so
-        a blocked arrival can use it), a copy-out on dense slabs — and
-        its slot is compacted away for other work.  Resumption re-admits
+        detach (pages stay allocated; the worst-case *unwritten*
+        remainder of its reservation returns to the pool so a blocked
+        arrival can use it) — and its slot is compacted away for other
+        work.  Resumption re-admits
         the sequence through the parked-prefill fleet with ``prefilled``
         pointing at its resident KV: only the last produced token is
         re-fed (the interrupted decode step), never a prompt token, so
@@ -1901,17 +1372,13 @@ class BatchedEngine:
                 f"seq {seq_id}: resident KV {resident} disagrees with "
                 "prompt + produced - 1 — engine accounting bug"
             )
-        if isinstance(caches, PagedKVCaches):
-            table = caches.detach_table(slot)
-            total = caches.pages_for(len(state.request.prompt_ids) + state.budget)
-            freeable = total - len(table)
-            caches.unreserve(freeable)
-            state.page_quota -= freeable
-            state.suspend_reserve = freeable
-            state.detached = ("paged", table)
-        else:
-            state.detached = ("dense", caches.detach_slot(slot))
-            state.suspend_reserve = 0
+        table = caches.detach_table(slot)
+        total = caches.pages_for(len(state.request.prompt_ids) + state.budget)
+        freeable = total - len(table)
+        caches.unreserve(freeable)
+        state.page_quota -= freeable
+        state.suspend_reserve = freeable
+        state.detached = table
         state.resume_ids = list(state.request.prompt_ids) + state.produced
         state.prefilled = resident
         if state.request.step_bias is not None:
@@ -1919,8 +1386,8 @@ class BatchedEngine:
         if state.request.top_k is not None:
             self._n_sampled -= 1
         # Compact the fleet exactly like _retire, minus the finish: the
-        # evicted slot's KV is already detached (paged: empty table, so
-        # move()'s release(dst) is a no-op; dense: copied out above).
+        # evicted slot's table is already detached, so move()'s
+        # release(dst) is a no-op.
         old_base = self._n_active
         tail = self._n_active - 1
         if slot != tail:
@@ -1987,8 +1454,8 @@ class BatchedEngine:
 
     def _release_suspended(self, state: _SlotState) -> None:
         """Return a suspended sequence's KV + reservation to the pool."""
-        if state.detached is not None and state.detached[0] == "paged":
-            self._caches.drop_table(state.detached[1])
+        if state.detached is not None:
+            self._caches.drop_table(state.detached)
         state.detached = None
         if state.page_quota:
             self._caches.unreserve(state.page_quota)
@@ -2010,7 +1477,7 @@ class BatchedEngine:
         """
         victim: _SlotState | None = None
         for state in self._preempted:
-            if state.detached is not None and state.detached[0] == "paged" and (
+            if state.detached is not None and (
                 victim is None or state.sort_key > victim.sort_key
             ):
                 victim = state
@@ -2091,8 +1558,8 @@ class BatchedEngine:
         """Occupancy and KV-memory counters (the ``/metrics`` payload).
 
         Always includes the fleet occupancy; once the caches exist the
-        backend's residency counters are merged in — for a paged pool
-        that is the ``free_pages`` headroom operators watch to see
+        pool's residency counters are merged in — among them the
+        ``free_pages`` headroom operators watch to see
         admission pressure building before requests start queueing (and
         the server's bounded queue starts returning 429s).
         """
@@ -2113,19 +1580,14 @@ class BatchedEngine:
         }
         caches = self._caches
         if caches is None:
-            stats.update(
-                paged=self.kv_page_tokens is not None,
-                kv_page_tokens=self.kv_page_tokens,
-                resident_kv_bytes=0,
+            total = self.kv_pool_pages or self.max_batch * -(
+                -self.model.config.max_seq_len // self.kv_page_tokens
             )
-            if self.kv_page_tokens is not None:
-                total = self.kv_pool_pages or self.max_batch * -(
-                    -self.model.config.max_seq_len // self.kv_page_tokens
-                )
-                stats.update(
-                    total_pages=total, free_pages=total, reserved_pages=0,
-                    pages_in_use=0,
-                )
+            stats.update(
+                kv_page_tokens=self.kv_page_tokens, resident_kv_bytes=0,
+                total_pages=total, free_pages=total, reserved_pages=0,
+                pages_in_use=0,
+            )
         else:
             stats.update(caches.stats())
         return stats
@@ -2134,8 +1596,7 @@ class BatchedEngine:
         """Drop every cached (unreferenced) prefix page; returns pages freed.
 
         Live slots keep their borrowed pages until they retire.  No-op
-        on dense slabs, on a paged pool without the prefix cache, and
-        before the caches are first allocated.
+        without the prefix cache and before the pool is first allocated.
         """
         if self._caches is None:
             return 0
@@ -2144,14 +1605,11 @@ class BatchedEngine:
     # -- slot bookkeeping --------------------------------------------------------
     def _ensure_state(self) -> None:
         if self._caches is None:
-            if self.kv_page_tokens is not None:
-                self._caches = PagedKVCaches(
-                    self.model, self.max_batch, self.kv_page_tokens,
-                    self.kv_pool_pages,
-                    prefix_cache=self.kv_prefix_cache,
-                )
-            else:
-                self._caches = SlotKVCaches(self.model, self.max_batch)
+            self._caches = PagedKVCaches(
+                self.model, self.max_batch, self.kv_page_tokens,
+                self.kv_pool_pages,
+                prefix_cache=self.kv_prefix_cache,
+            )
             self._bias = np.zeros(
                 (self.max_batch, self.model.config.vocab_size), dtype=np.float32
             )
@@ -2159,9 +1617,9 @@ class BatchedEngine:
     def _install(self, slot: int, state: _SlotState) -> None:
         """Occupy ``slot`` with a fully prefilled sequence."""
         request = state.request
-        # The whole prompt is resident in the slot's cache now: offer its
+        # The whole prompt is resident in the slot's pages now: offer its
         # full pages to the prefix index for reuse (no-op unless the
-        # paged pool runs with the prefix cache enabled).
+        # prefix cache is enabled).
         self._caches.register_prefix(slot, request.prompt_ids)
         self._slots[slot] = state
         self._bias[slot] = (
@@ -2185,9 +1643,9 @@ class BatchedEngine:
         if state.request.top_k is not None:
             self._n_sampled -= 1
         caches = self._caches
-        # Paged pool: the retiring sequence's pages and reserved quota go
-        # back to the shared free list before compaction moves the tail's
-        # block table over the freed slot.  (Dense slabs: both no-ops.)
+        # The retiring sequence's pages and reserved quota go back to the
+        # shared free list before compaction moves the tail's block table
+        # over the freed slot.
         caches.release(slot)
         caches.unreserve(state.page_quota)
         tail = self._n_active - 1
@@ -2227,7 +1685,7 @@ class BatchedEngine:
         admit a fresh request, whichever has the smaller ``(priority,
         seq_id)`` key.
 
-        With a paged KV pool, admission also reserves the request's
+        Admission also reserves the request's
         worst-case page quota (``ceil((prompt + budget) / page)``): when
         the pool cannot cover it, a strictly-lower-priority active
         decode is preempted to make room (:meth:`preempt_victim`);
@@ -2303,141 +1761,8 @@ class BatchedEngine:
             self._caches.attach_prefix(slot, state.shared_pages, state.prefilled)
             state.shared_pages = []
         if state.detached is not None:
-            kind, payload = state.detached
-            if kind == "paged":
-                self._caches.attach_table(slot, payload, state.prefilled)
-            else:
-                self._caches.restore_slot(slot, payload, state.prefilled)
+            self._caches.attach_table(slot, state.detached, state.prefilled)
             state.detached = None
-
-    def _ragged_prefill(
-        self, states: list[_SlotState], slots: list[int]
-    ) -> np.ndarray:
-        """One right-aligned ragged forward; returns ``(B, V)`` last-token logits.
-
-        Writes each sequence's K/V into its slot slab and sets the slot
-        lengths.  The projection GEMMs run fused over the whole padded
-        batch; the attention core runs per row over each sequence's valid
-        slice (see :meth:`SelfAttention._ragged_attention`), so pad
-        columns never enter any float sum and score temporaries stay
-        cache-resident.  Each row's last-token logits agree with a lone
-        prefill of that prompt to within BLAS kernel-selection noise (an
-        ulp or two — far inside greedy argmax margins), and the *first
-        tokens* are pinned identical to the per-request path by the
-        parity suite.
-        """
-        caches = self._caches
-        prompts = [state.feed_ids for state in states]
-        for state in states:
-            self.total_prompt_tokens_prefilled += min(
-                len(state.feed_ids), len(state.request.prompt_ids)
-            )
-        t_max = max(len(prompt) for prompt in prompts)
-        n = len(prompts)
-        idx = np.zeros((n, t_max), dtype=np.int64)
-        pads = np.empty(n, dtype=np.int64)
-        for row, prompt in enumerate(prompts):
-            pads[row] = t_max - len(prompt)
-            idx[row, pads[row]:] = prompt
-        logits = self.model._forward_numpy(
-            idx,
-            caches.ragged_prefill_adapters(
-                slots, pads, [len(prompt) for prompt in prompts]
-            ),
-            position_offset=-pads,
-            pad_lens=pads,
-            last_only=True,
-        )[:, -1, :]
-        for row, slot in enumerate(slots):
-            caches.lengths[slot] = len(prompts[row])
-        return logits
-
-    def _batch_admit(self, states: list[_SlotState]) -> None:
-        """Prefill ``states`` into fresh slots in one ragged pass.
-
-        Sequences may finish instantly on their first token and retire
-        within the call.  Callers guarantee no parked rows exist yet
-        (fresh prefill lands at ``self._n_active``, where a parked block
-        would sit).
-        """
-        slots = list(range(self._n_active, self._n_active + len(states)))
-        logits = self._ragged_prefill(states, slots)
-        finished: list[int] = []
-        for row, (state, slot) in enumerate(zip(states, slots)):
-            self._install(slot, state)
-            self._n_active += 1
-            if self._first_token(state, logits[row], slot):
-                finished.append(slot)
-        for slot in reversed(finished):
-            self._retire(slot)
-
-    def _plan_chunks(self, chunk: int) -> list[tuple[_SlotState, int]]:
-        """Park new arrivals and plan every parked prompt's next advance.
-
-        Returns ``(state, end)`` per parked row: the row advances its
-        prompt to ``end`` this step.  With in-flight decodes each
-        advance is bounded by one ``chunk``; an idle fleet has nothing
-        to stall, so every remainder finishes whole.
-        """
-        limit = min(self.prefill_concurrency, self.max_batch - self._n_active)
-        while len(self._prefilling) < limit:
-            state = self._pop_viable()
-            if state is None:
-                break
-            self._park(state)
-        parked = self._prefilling
-        if not parked:
-            return []
-        if self._n_active == 0:
-            ends = [len(state.feed_ids) for state in parked]
-        else:
-            ends = [
-                min(state.prefilled + chunk, len(state.feed_ids))
-                for state in parked
-            ]
-        return list(zip(parked, ends))
-
-    def _chunk_admit(self, plan: list[tuple[_SlotState, int]]) -> list[_SlotState]:
-        """Advance the parked fleet in a dedicated ragged chunk forward.
-
-        The split-schedule (``unified_step=False``) late-join path: each
-        step costs the in-flight decode slots one ragged chunk forward —
-        bounded by ``chunk`` query tokens per row — *plus* the decode
-        forward.  When every row's advance is a single token (the shape
-        of a decode row), no forward runs here at all: the parked states
-        are returned for :meth:`step` to fold into the decode forward as
-        extra rows.
-        """
-        parked = self._prefilling
-        if all(end - state.prefilled == 1 for state, end in plan):
-            return list(parked)
-        starts = np.asarray(
-            [state.prefilled for state in parked], dtype=np.int64
-        )
-        key_lens = np.asarray([end for _, end in plan], dtype=np.int64)
-        widths = key_lens - starts
-        pads = int(widths.max()) - widths
-        n = len(parked)
-        idx = np.zeros((n, int(widths.max())), dtype=np.int64)
-        for row, (state, end) in enumerate(plan):
-            idx[row, pads[row]:] = state.feed_ids[starts[row]:end]
-            self.total_prompt_tokens_prefilled += max(
-                0, min(end, len(state.request.prompt_ids)) - int(starts[row])
-            )
-        logits = self.model._forward_numpy(
-            idx,
-            self._caches.ragged_chunk_adapters(
-                self._n_active, starts, key_lens, pads
-            ),
-            position_offset=starts - pads,
-            pad_lens=pads,
-            key_lens=key_lens,
-            last_only=True,
-        )[:, -1, :]
-        for state, end in plan:
-            state.prefilled = end
-        self._promote_parked(list(logits))
-        return []
 
     def _promote_parked(self, logits_rows: list[np.ndarray]) -> None:
         """Move fully prefilled parked prompts into the decode fleet.
@@ -2445,9 +1770,10 @@ class BatchedEngine:
         ``logits_rows`` align with ``self._prefilling`` and carry each
         row's last-token logits from the forward that just advanced it.
         Completed rows must become the next contiguous decode slots, so
-        when they finished out of park order the slab block is permuted
-        completed-first; instant first-token finishes retire immediately
-        (shifting the still-parked rows down over the freed slots).
+        when they finished out of park order the parked block tables are
+        permuted completed-first; instant first-token finishes retire
+        immediately (shifting the still-parked rows down over the freed
+        slots).
         """
         parked = self._prefilling
         completed = [
@@ -2483,7 +1809,7 @@ class BatchedEngine:
             self._shift_parked(parked_base)
 
     def _shift_parked(self, old_base: int) -> None:
-        """Shift the parked partial slabs down to follow a shrunk fleet."""
+        """Shift the parked block tables down to follow a shrunk fleet."""
         if old_base == self._n_active:
             return
         for i, state in enumerate(self._prefilling):
@@ -2492,164 +1818,97 @@ class BatchedEngine:
             )
 
     def _admit(self) -> list[tuple[_SlotState, int]]:
-        """Prefill phase: move pending work into KV slots.
+        """Prefill phase: park pending work and plan every parked advance.
 
-        Without chunking — or with an idle fleet, where there is nothing
-        to stall — all free slots are filled by ragged batched prefill;
-        with chunking and in-flight decodes, every parked prompt (up to
-        ``prefill_concurrency``) advances at most one chunk per step.
-        Returns the parked plan — ``(state, end)`` advances for
-        :meth:`step` to ride in the unified forward.  In split-schedule
-        mode chunk advances wider than one token instead run in their
-        own forward here, and only single-token advances are returned
-        (to fold into the decode forward).
+        Admitted sequences park in free slots just past the decode
+        fleet.  Returns ``(state, end)`` per parked row: the row feeds
+        ``feed_ids[prefilled:end]`` in the next packed forward.  Without
+        chunking — or with an idle fleet, where there is nothing to
+        stall — every parked prompt advances whole; with chunking and
+        in-flight decodes, up to ``prefill_concurrency`` parked prompts
+        each advance at most one chunk per step.
         """
         chunk = self.prefill_chunk_tokens
-        if chunk is not None and (self._n_active > 0 or self._prefilling):
-            plan = self._plan_chunks(chunk)
-            if not plan:
-                return []
-            if self.unified_step:
-                return plan
-            return [
-                (state, state.prefilled + 1)
-                for state in self._chunk_admit(plan)
-            ]
-        # Whole-prompt admission (unchunked, or chunked with an idle
-        # fleet).  Fresh prompts batch into one ragged prefill; shared-
-        # prefix admissions instead *park* past the decode fleet and
-        # advance only their unshared suffix through the step's packed
-        # forward.  Once any row is parked, later arrivals this pass park
-        # too: a ragged prefill would land on the parked block's slots.
-        shared: list[_SlotState] = []
-        progress = True
-        while progress:
-            progress = False
-            states: list[_SlotState] = []
-            while (self._pending or self._preempted) and (
-                self._n_active + len(self._prefilling)
-                + len(shared) + len(states)
-                < self.max_batch
-            ):
-                state = self._pop_viable()
-                if state is None:
-                    break
-                if self._prefilling or state.prefilled or state.resume_ids is not None:
-                    shared.append(state)
-                else:
-                    states.append(state)
-            if states:
-                self._batch_admit(states)
-                progress = True
-        for state in shared:
+        limit = self.max_batch - self._n_active
+        if chunk is not None and (self._n_active or self._prefilling):
+            limit = min(self.prefill_concurrency, limit)
+        while len(self._prefilling) < limit:
+            state = self._pop_viable()
+            if state is None:
+                break
             self._park(state)
-        if self._prefilling:
-            return [
-                (state, len(state.feed_ids))
-                for state in self._prefilling
-            ]
-        return []
+        if chunk is None or self._n_active == 0:
+            return [(state, len(state.feed_ids)) for state in self._prefilling]
+        return [
+            (state, min(state.prefilled + chunk, len(state.feed_ids)))
+            for state in self._prefilling
+        ]
 
     def _unified_forward(
-        self, plan: list[tuple[_SlotState, int]], n_active: int
+        self, plan: list[tuple[_SlotState, int]], n_decode: int
     ) -> np.ndarray:
-        """One packed mixed-length varlen forward over decode AND chunk rows.
+        """One packed mixed-length varlen forward over decode AND prefill rows.
 
-        Row ``b < n_active`` contributes one query token (its last
-        produced) at depth ``lengths[b]``; row ``n_active + i`` is a
-        parked chunk advancing ``[prefilled, end)``.  All real tokens are
+        Row ``b < n_decode`` is decode slot ``b``: one query token (its
+        last produced) at depth ``lengths[b]``.  ``n_decode`` is either
+        the whole fleet or zero (a same-step refill prefills its parked
+        rows alone).  Row ``n_decode + i`` is parked slot ``n_active +
+        i`` advancing ``[prefilled, end)``.  All real tokens are
         concatenated on one packed axis (``pack_spans``) — no pad
         position ever enters a projection GEMM — and each row attends
-        over its whole written prefix through the cache's slab views or
-        block-table gathers.  Returns the ``(n_rows, V)`` last-token
-        logits; slot lengths and parked progress are advanced in place.
+        over its whole written prefix.  Returns the ``(n_rows, V)``
+        float32 last-token logits; slot lengths and parked progress are
+        advanced in place.
         """
         caches, slots = self._caches, self._slots
-        n_rows = n_active + len(plan)
+        n_rows = n_decode + len(plan)
         starts = np.empty(n_rows, dtype=np.int64)
         ends = np.empty(n_rows, dtype=np.int64)
-        starts[:n_active] = caches.lengths[:n_active]
-        ends[:n_active] = starts[:n_active] + 1
+        starts[:n_decode] = caches.lengths[:n_decode]
+        ends[:n_decode] = starts[:n_decode] + 1
         for i, (state, end) in enumerate(plan):
-            starts[n_active + i] = state.prefilled
-            ends[n_active + i] = end
+            starts[n_decode + i] = state.prefilled
+            ends[n_decode + i] = end
         spans = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(ends - starts, out=spans[1:])
         total = int(spans[-1])
         idx = np.empty((1, total), dtype=np.int64)
         positions = np.empty((1, total), dtype=np.int64)
-        for b in range(n_active):
-            idx[0, spans[b]] = slots[b].produced[-1]
-            positions[0, spans[b]] = starts[b]
+        if n_decode:
+            at = spans[:n_decode]
+            idx[0, at] = [slots[b].produced[-1] for b in range(n_decode)]
+            positions[0, at] = starts[:n_decode]
         for i, (state, end) in enumerate(plan):
-            row = n_active + i
-            s, e = int(spans[row]), int(spans[row + 1])
-            idx[0, s:e] = state.feed_ids[starts[row]:end]
-            positions[0, s:e] = np.arange(starts[row], end)
+            start = state.prefilled
+            s, e = int(spans[n_decode + i]), int(spans[n_decode + i + 1])
+            idx[0, s:e] = state.feed_ids[start:end]
+            positions[0, s:e] = np.arange(start, end)
             self.total_prompt_tokens_prefilled += max(
-                0, min(end, len(state.request.prompt_ids)) - int(starts[row])
+                0, min(end, len(state.request.prompt_ids)) - start
             )
         key_mask = None
-        if n_active:
+        if n_decode:
             # The decode rows run as one fused masked sub-attention, so
-            # they need the fused path's additive key mask over their
-            # stacked view (column `starts[b]` is row b's new token).
-            view_ones = int(ends[:n_active].max())
+            # they need an additive key mask over their stacked view
+            # (column `starts[b]` is row b's new token).
+            view = int(ends[:n_decode].max())
             key_mask = np.where(
-                np.arange(view_ones)[None, :] <= starts[:n_active, None],
+                np.arange(view)[None, :] <= starts[:n_decode, None],
                 np.float32(0.0),
                 _NEG_INF,
             )[:, None, None, :]
         logits = self.model._forward_numpy(
             idx,
-            caches.packed_adapters(starts, ends, spans, n_active),
+            caches.packed_adapters(
+                self._n_active - n_decode, starts, ends, spans, n_decode
+            ),
             token_positions=positions,
             key_mask=key_mask,
             pack_spans=spans,
-            last_only=True,
         )[0]
-        caches.lengths[:n_active] += 1
+        caches.lengths[:n_decode] += 1
         for state, end in plan:
             state.prefilled = end
-        return logits
-
-    def _fused_forward(
-        self, plan: list[tuple[_SlotState, int]], n_active: int
-    ) -> np.ndarray:
-        """One fused decode forward; single-token chunk rows ride along.
-
-        Every row feeds exactly one token, so the whole batch shares one
-        ``(B, H, 1, Tk)`` attention with an additive key mask over the
-        ragged cache lengths — a chunk row feeding its next prompt token
-        at depth ``prefilled`` is shape-identical to a decode row feeding
-        its last produced token at depth ``lengths[b]``.
-        """
-        caches, slots = self._caches, self._slots
-        n_rows = n_active + len(plan)
-        last = np.empty((n_rows, 1), dtype=np.int64)
-        for b in range(n_active):
-            last[b, 0] = slots[b].produced[-1]
-        for i, (state, _end) in enumerate(plan):
-            last[n_active + i, 0] = state.feed_ids[state.prefilled]
-            caches.lengths[n_active + i] = state.prefilled
-            if state.prefilled < len(state.request.prompt_ids):
-                self.total_prompt_tokens_prefilled += 1
-        lengths = caches.lengths[:n_rows]
-        view_len = int(lengths.max()) + 1
-        key_mask = np.where(
-            np.arange(view_len)[None, :] <= lengths[:, None],
-            np.float32(0.0),
-            _NEG_INF,
-        )[:, None, None, :]
-        logits = self.model._forward_numpy(
-            last,
-            caches.step_adapters(n_rows, view_len),
-            position_offset=lengths.copy(),
-            key_mask=key_mask,
-        )[:, -1, :]
-        caches.lengths[:n_rows] += 1
-        for state, _end in plan:
-            state.prefilled += 1
         return logits
 
     # -- scoring phase -----------------------------------------------------------
@@ -2695,8 +1954,7 @@ class BatchedEngine:
         self._ensure_state()
         plan = self._admit()
         n_active = self._n_active
-        n_rows = n_active + len(plan)
-        if n_rows == 0:
+        if not (n_active or plan):
             # Nothing admissible.  If suspended sequences exist, their
             # kept reservations may be what is wedging the pool (only
             # reachable with an undersized pool): demote the lowest-
@@ -2705,21 +1963,11 @@ class BatchedEngine:
             # fits, so the engine can never deadlock on its own state.
             if self._preempted and self._demote_one_preempted():
                 plan = self._admit()
-                n_active = self._n_active
-                n_rows = n_active + len(plan)
-            if n_rows == 0:
+            if not plan:
                 return len(self._finished) - before
 
-        # One model pass per step: when any parked advance is wider than
-        # a single token the decode rows and the chunk rows share a
-        # unified mixed-length ragged forward; otherwise every row is
-        # one-token-shaped and the cheaper fused decode forward runs.
-        caches, slots = self._caches, self._slots
-        if any(end - state.prefilled > 1 for state, end in plan):
-            logits = self._unified_forward(plan, n_active)
-        else:
-            logits = self._fused_forward(plan, n_active)
-
+        logits = self._unified_forward(plan, n_active)
+        slots = self._slots
         step = logits[:n_active] + self._bias[:n_active]
         sampled: list[int] = []
         if self._n_hooked or self._n_sampled:
@@ -2750,26 +1998,27 @@ class BatchedEngine:
             self._retire(b)
         if retired:
             # The mid-prefill sequences stay parked just past the fleet:
-            # shift their partial KV down over the rows compaction freed —
-            # one prefix copy (dense) or table move (paged) per parked
-            # row, however many slots retired (n_active was the parked
-            # base before the retire loop).
+            # move their block tables down over the rows compaction freed
+            # (n_active was the parked base before the retire loop).
             self._shift_parked(n_active)
         if plan:
             # Parked rows that consumed their last prompt token join the
-            # fleet now, selecting their first tokens from this forward's
-            # logits (identical rows to a dedicated chunk forward's).
-            self._promote_parked(
-                [logits[n_active + i] for i in range(len(plan))]
-            )
-        if retired and self.prefill_chunk_tokens is None:
-            # Refill freed slots within the same step (the scheduler's
-            # late-join contract): pending work is prefilled now and
-            # decodes from the very next step.  With chunking enabled the
-            # refill waits for the next step's prefill phase instead — a
-            # second _admit here would advance the parked prompt a second
-            # chunk and break the one-chunk-per-step stall bound.
-            self._admit()
+            # fleet now, selecting their first tokens from this forward.
+            self._promote_parked(list(logits[n_active:]))
+        if (
+            self.prefill_chunk_tokens is None
+            and self._n_active + len(self._prefilling) < n_active + len(plan)
+        ):
+            # Rows left the fleet (EOS, budget, or an instant first-token
+            # finish): refill the freed slots within the same step.  The
+            # refill's parked rows get a packed forward of their own and
+            # decode from the very next step.  With chunking enabled the
+            # refill waits for the next step's admission instead — a
+            # second advance here would break the one-chunk-per-step
+            # stall bound.
+            refill = self._admit()
+            if refill:
+                self._promote_parked(list(self._unified_forward(refill, 0)))
         return len(self._finished) - before
 
     def collect(self) -> dict[int, list[int] | SequenceScore | None]:

@@ -6,14 +6,15 @@ vocabulary head.  Two forward paths:
 
 * the **autograd path** (`forward`, `loss`) used for pre-training, coach
   instruction tuning and downstream instruction tuning;
-* the **numpy inference path** (`generate`) with a per-layer KV cache for
-  fast greedy/top-k decoding (verified against the autograd path in the
-  test suite).
+* the **numpy inference path** (`_forward_numpy`): the float64
+  sequential reference (`generate`, `sequence_logprobs`) with a per-layer
+  KV cache, verified against the autograd path in the test suite, and
+  the float32 packed varlen forward the batched engine
+  (:mod:`repro.nn.decoding`) runs every step.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,22 +22,6 @@ import numpy as np
 from ..errors import GenerationError, ModelError
 from .modules import Embedding, LayerNorm, Linear, Module
 from .tensor import Tensor
-
-
-def _f32_fused_attention() -> bool:
-    """Opt-in float32 fast path for the *fused* sequential attention.
-
-    The fused (non-ragged) score pipeline historically multiplies by a
-    Python-float scale, which under NumPy 2 promotes every score
-    temporary to float64 — twice the memory traffic of the decode hot
-    path's hottest tensors.  ``REPRO_F32_ATTN=1`` keeps the pipeline in
-    float32 instead (matching the ragged attention core, which is
-    float32 already).  The default stays the float64 path so recorded
-    outputs remain bitwise stable; greedy *tokens* are identical either
-    way (argmax margins dwarf the last-ulp drift), which the test suite
-    pins.  Read per call so tests can toggle it via the environment.
-    """
-    return os.environ.get("REPRO_F32_ATTN", "") == "1"
 
 
 @dataclass(frozen=True)
@@ -95,52 +80,39 @@ class SelfAttention(Module):
         cache,
         key_mask: np.ndarray | None = None,
         causal_mask: np.ndarray | None = None,
-        pad_lens: np.ndarray | None = None,
-        key_lens: np.ndarray | None = None,
         pack_spans: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Inference path; ``cache`` holds accumulated K/V per layer.
+        """Inference path; two layouts share the projections.
 
-        ``cache`` is either the legacy per-layer dict (K/V grown by
-        concatenation) or any object with an ``update(k, v)`` method that
-        stores the new K/V and returns the full (k, v) to attend over —
-        the batched engine passes pre-allocated slot caches this way.
-        ``key_mask`` is an optional additive mask broadcastable to
-        ``(B, H, T, Tk)`` (0 for valid keys, ``-1e9`` for padded slots);
-        the engine uses it to hide stale columns of ragged slot caches.
+        * **Sequential** (``pack_spans is None``) — ``x`` is ``(B, T, D)``
+          and ``cache`` is ``None`` or the per-layer dict whose K/V grow
+          by concatenation (:meth:`TransformerLM.generate`).  The fused
+          score pipeline multiplies by a Python-float scale, so under
+          NumPy 2 it runs in float64: this is the float64 sequential
+          reference the engine's tokens are pinned against.
+        * **Packed varlen** (``pack_spans`` given) — ``x`` is one row
+          whose token axis concatenates every sequence's new tokens,
+          sequence ``i`` owning ``[pack_spans[i], pack_spans[i+1])``:
+          the engine's step forward, where decode rows (one token) and
+          prefill rows (many) share one pass with **zero** pad positions
+          entering any projection GEMM.  ``cache`` is the engine's
+          per-layer adapter; its ``update(k, v)`` stores the new K/V and
+          returns the stacked decode-row keys/values plus each prefill
+          row's whole written prefix (see :meth:`_packed_attention`).
+          ``key_mask`` (``0`` for valid keys, ``-1e9`` for stale
+          columns) hides each decode row's columns past its own length.
+          This path is float32 end to end.
+
         ``causal_mask`` is an optional precomputed full
         ``(max_seq_len, max_seq_len)`` upper-triangular additive mask;
         when large enough it is *sliced* instead of rebuilding ``np.triu``
-        on every call, and the ``t == 1`` decode case skips the causal
-        term entirely (a single query may attend to every cached key).
-        ``pad_lens`` marks ``x`` as a right-aligned ragged prefill batch
-        (one left-pad width per row): the attention core then runs per
-        row over each sequence's valid ``[pad:, pad:]`` slice.  This
-        keeps every attention temporary at the cache-friendly
-        single-sequence size — a fused ``(B, H, T, T)`` prefill score
-        tensor runs tens of megabytes and turns the softmax pipeline
-        memory-bound — and spends zero FLOPs on pad columns, while the
-        projection GEMMs around it (the bulk of the arithmetic) stay
-        batched.  ``key_lens`` (only together with ``pad_lens``) marks a
-        ragged *chunk continuation* batch: each row's queries are a
-        right-aligned prompt chunk while its keys are the row's full
-        left-aligned cache prefix of ``key_lens[row]`` columns — the
-        multi-slot chunked-prefill forward, where every mid-admission
-        prompt advances one chunk against its own history.  ``pack_spans``
-        marks ``x`` as a *packed varlen* batch instead — one row whose
-        token axis is the concatenation of every sequence's new tokens,
-        sequence ``i`` owning ``[pack_spans[i], pack_spans[i+1])`` — the
-        engine's unified mixed-length step forward, where decode rows
-        (one token) and chunk rows (many) share one pass with **zero**
-        pad positions entering any projection GEMM; the cache adapter's
-        ``update`` then returns per-row key/value *prefixes* (each row's
-        whole written history) rather than stacked arrays.  Masked/padded
-        scores contribute exactly ``0.0`` weight after softmax in all
-        paths; a batched row's logits still differ from a lone-sequence
-        forward in the last ulp or two because BLAS kernel selection (and
-        with it accumulation order) varies with GEMM shapes.  Greedy
-        argmax margins are many orders of magnitude wider, so token
-        choices are unaffected — the engine's parity suite pins this.
+        on every call, and single-token queries skip the causal term
+        entirely (one query may attend to every cached key).  Masked
+        scores contribute exactly ``0.0`` weight after softmax; a packed
+        row's logits still differ from a lone-sequence forward in the
+        low bits (float32 vs float64 scores, and BLAS kernel selection
+        varying with GEMM shapes), which greedy argmax margins dwarf —
+        the engine's parity suite pins the tokens.
         """
         b, t, d = x.shape
         cfg = self.config
@@ -149,60 +121,27 @@ class SelfAttention(Module):
         q, k, v = qkv[0], qkv[1], qkv[2]
         scale = 1.0 / np.sqrt(cfg.head_dim)
         if pack_spans is not None:
-            if pad_lens is not None:
-                raise GenerationError(
-                    "pack_spans is exclusive with pad_lens: the packed "
-                    "varlen path derives its extents from the spans"
-                )
             ones_k, ones_v, keys, vals = cache.update(k, v)
             out = self._packed_attention(
                 q, ones_k, ones_v, keys, vals, scale, causal_mask, key_mask,
                 pack_spans,
             )
-            out = out.transpose(0, 2, 1, 3).reshape(b, t, d)
-            return self.proj.forward_numpy(out)
-        if cache is not None:
-            if isinstance(cache, dict):
+        else:
+            if cache is not None:
                 if cache.get("k") is not None:
                     k = np.concatenate([cache["k"], k], axis=2)
                     v = np.concatenate([cache["v"], v], axis=2)
                 cache["k"], cache["v"] = k, v
-            else:
-                k, v = cache.update(k, v)
-        if pad_lens is not None:
-            if key_mask is not None:
-                raise GenerationError(
-                    "pad_lens and key_mask are mutually exclusive: the "
-                    "ragged per-row path never reads key_mask"
-                )
-            out = self._ragged_attention(
-                q, k, v, scale, causal_mask, pad_lens, key_lens
-            )
-            out = out.transpose(0, 2, 1, 3).reshape(b, t, d)
-            return self.proj.forward_numpy(out)
-        if key_lens is not None:
-            raise GenerationError(
-                "key_lens requires pad_lens: it only qualifies the ragged "
-                "chunk-continuation path"
-            )
-        scores = q @ np.swapaxes(k, -1, -2)  # (B, H, T, Tk)
-        if _f32_fused_attention():
-            scores *= np.float32(scale)   # stays float32 end to end
-        else:
-            scores = scores * scale       # float64 promotion — the
-            # bitwise-pinned default (see _f32_fused_attention)
-        t_k = k.shape[2]
-        # Causal mask: query position i (offset by cached length) may attend
-        # to key positions <= i.  For t == 1 the mask is identically zero,
-        # so the add is skipped on the decode hot path.
-        if t > 1:
-            scores = scores + self._causal_slice(causal_mask, t, t_k)
-        if key_mask is not None:
-            scores = scores + key_mask
-        scores -= scores.max(axis=-1, keepdims=True)
-        probs = np.exp(scores)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        out = probs @ v
+            scores = q @ np.swapaxes(k, -1, -2)  # (B, H, T, Tk)
+            scores = scores * scale  # float64 promotion: the reference path
+            if t > 1:
+                # Query position i (offset by the cached length) may
+                # attend to key positions <= i.
+                scores = scores + self._causal_slice(causal_mask, t, k.shape[2])
+            scores -= scores.max(axis=-1, keepdims=True)
+            probs = np.exp(scores)
+            probs /= probs.sum(axis=-1, keepdims=True)
+            out = probs @ v
         out = out.transpose(0, 2, 1, 3).reshape(b, t, d)
         return self.proj.forward_numpy(out)
 
@@ -220,61 +159,6 @@ class SelfAttention(Module):
         ):
             return causal_mask[offset : offset + t, :t_k]
         return np.triu(np.full((t, t_k), -1e9, dtype=np.float32), k=offset + 1)
-
-    def _ragged_attention(
-        self,
-        q: np.ndarray,
-        k: np.ndarray,
-        v: np.ndarray,
-        scale: float,
-        causal_mask: np.ndarray | None,
-        pad_lens: np.ndarray,
-        key_lens: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-row attention core of a right-aligned ragged batch.
-
-        Each row attends with lone-sequence shapes and temporaries, so
-        the score tensors stay cache-resident and pad columns cost
-        nothing.  Two key layouts share the pipeline:
-
-        * ``key_lens is None`` — plain ragged prefill: row ``row``'s keys
-          are its own valid suffix ``k[row, :, pad:, :]`` (the fresh
-          right-aligned batch; queries start at position 0).
-        * ``key_lens`` given — ragged chunk continuation: keys are the
-          row's *left-aligned* cache prefix ``k[row, :, :key_lens[row], :]``
-          (slot slab columns the adapter extended with this chunk's K/V).
-          The chunk starts at global position ``key_lens[row] - valid``,
-          which is exactly the offset of the ``(valid, t_k)`` causal
-          slice, so every query token attends to keys at positions
-          ``<= its own``.
-
-        The pipeline is kept in float32 with in-place updates (a
-        ``np.float64`` scale scalar would promote every score temporary
-        to float64 under NumPy 2 — twice the memory traffic of the
-        hottest tensors in prefill).  Pad rows are left at zero: they
-        feed only their own dead residual lanes and are never read.
-        """
-        b, n_heads, t, head_dim = q.shape
-        scale32 = np.float32(scale)
-        out = np.zeros((b, n_heads, t, head_dim), dtype=np.float32)
-        for row in range(b):
-            pad = int(pad_lens[row])
-            valid = t - pad
-            if key_lens is None:
-                t_k = valid
-                keys, vals = k[row, :, pad:, :], v[row, :, pad:, :]
-            else:
-                t_k = int(key_lens[row])
-                keys, vals = k[row, :, :t_k, :], v[row, :, :t_k, :]
-            scores = q[row, :, pad:, :] @ np.swapaxes(keys, -1, -2)
-            scores *= scale32
-            if valid > 1:
-                scores += self._causal_slice(causal_mask, valid, t_k)
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            out[row, :, pad:, :] = scores @ vals
-        return out
 
     def _packed_attention(
         self,
@@ -295,11 +179,12 @@ class SelfAttention(Module):
         (decode-shaped): their keys arrive stacked as ``ones_k``/
         ``ones_v`` — ``(n_ones, H, view, Dh)`` with ``key_mask`` hiding
         each row's columns past its own length — and the whole block
-        runs one fused masked attention, exactly the decode fast path's
-        shape.  The remaining *chunk* rows run per row over their exact
-        ``keys[j]``/``vals[j]`` prefixes (slab views dense, page gathers
-        paged) — no pad column anywhere, and each chunk's causal slice
-        starts at its global offset ``t_k - valid``.
+        runs one fused masked attention.  The remaining *chunk* rows run
+        per row over their exact ``keys[j]``/``vals[j]`` prefixes — no
+        pad column anywhere, each chunk's causal slice starts at its
+        global offset ``t_k - valid``, and every score temporary stays
+        at the cache-friendly single-sequence size.  The pipeline stays
+        in float32 with in-place updates.
         """
         _, n_heads, t_total, head_dim = q.shape
         scale32 = np.float32(scale)
@@ -368,13 +253,10 @@ class Block(Module):
         cache,
         key_mask: np.ndarray | None = None,
         causal_mask: np.ndarray | None = None,
-        pad_lens: np.ndarray | None = None,
-        key_lens: np.ndarray | None = None,
         pack_spans: np.ndarray | None = None,
     ) -> np.ndarray:
         x = x + self.attn.forward_numpy(
-            self.ln1.forward_numpy(x), cache, key_mask, causal_mask, pad_lens,
-            key_lens, pack_spans,
+            self.ln1.forward_numpy(x), cache, key_mask, causal_mask, pack_spans
         )
         x = x + self.mlp.forward_numpy(self.ln2.forward_numpy(x))
         return x
@@ -437,63 +319,41 @@ class TransformerLM(Module):
         self,
         idx: np.ndarray,
         caches: list | None,
-        position_offset: int | np.ndarray = 0,
+        position_offset: int = 0,
         key_mask: np.ndarray | None = None,
-        pad_lens: np.ndarray | None = None,
-        key_lens: np.ndarray | None = None,
         pack_spans: np.ndarray | None = None,
         token_positions: np.ndarray | None = None,
-        last_only: bool = False,
         logit_positions: np.ndarray | None = None,
     ) -> np.ndarray:
         """Inference forward.
 
-        ``position_offset`` is a scalar (all rows share one offset — the
-        legacy single-sequence path) or a ``(B,)`` array of per-sequence
-        offsets (the batched engine decodes rows at different depths; a
-        right-aligned ragged prefill batch passes *negative* offsets so
-        each prompt's real tokens land on positions ``0..len-1``, and the
-        resulting negative pad-row positions are clamped to 0 — pad rows
-        are never attended to and never read).  ``token_positions``
+        ``position_offset`` is the position of ``idx``'s first column,
+        shared by every row (the sequential path).  ``token_positions``
         instead gives every token's position explicitly, same shape as
         ``idx`` — required by the packed varlen layout (``pack_spans``),
         where one row concatenates many sequences at unrelated depths.
-        ``key_mask``, ``pad_lens``, ``key_lens`` and ``pack_spans`` are
-        forwarded to every attention layer (see
-        :meth:`SelfAttention.forward_numpy`).  ``last_only`` restricts
-        the final norm + vocabulary projection to the last position of
-        each row — prefill only consumes last-token logits, and the head
-        GEMM over a whole prompt is otherwise the single largest matmul
-        of the forward; the return value is then ``(B, 1, V)``, except
-        with ``pack_spans`` where each packed sequence's last token is
-        gathered instead: ``(1, n_rows, V)``.  ``logit_positions``
-        generalises ``last_only`` for teacher-forced scoring: an index
-        array gathering exactly the token positions whose logits are
-        consumed before the final norm + head, so the full-vocab GEMM
-        runs only over scored positions; the return value is then
+        ``key_mask`` and ``pack_spans`` are forwarded to every attention
+        layer (see :meth:`SelfAttention.forward_numpy`).  With
+        ``pack_spans`` the final norm + vocabulary projection run only
+        over each packed sequence's last token — the engine consumes
+        nothing else, and the head GEMM over a whole prompt is otherwise
+        the single largest matmul of the forward — and the return value
+        is ``(1, n_rows, V)``.  ``logit_positions`` does the same for
+        teacher-forced scoring: an index array gathering exactly the
+        token positions whose logits are consumed, so the full-vocab
+        GEMM runs only over scored positions; the return value is then
         ``(B, len(logit_positions), V)``.
         """
-        if logit_positions is not None and (last_only or pack_spans is not None):
-            raise GenerationError(
-                "logit_positions is exclusive with last_only/pack_spans"
-            )
+        if logit_positions is not None and pack_spans is not None:
+            raise GenerationError("logit_positions is exclusive with pack_spans")
         idx = np.asarray(idx)
         b, t = idx.shape
         if token_positions is not None:
             positions = token_positions
             last_position = int(token_positions.max()) if t else 0
         else:
-            offsets = np.asarray(position_offset, dtype=np.int64)
-            if offsets.ndim == 0:
-                positions = np.arange(int(offsets), int(offsets) + t)
-                last_position = int(offsets) + t - 1
-            else:
-                if offsets.shape != (b,):
-                    raise GenerationError(
-                        f"position_offset shape {offsets.shape} != ({b},)"
-                    )
-                positions = np.maximum(offsets[:, None] + np.arange(t)[None, :], 0)
-                last_position = int(offsets.max()) + t - 1
+            positions = np.arange(position_offset, position_offset + t)
+            last_position = position_offset + t - 1
         if last_position >= self.config.max_seq_len:
             raise GenerationError(
                 f"position {last_position} exceeds context "
@@ -506,15 +366,10 @@ class TransformerLM(Module):
                 caches[i] if caches is not None else None,
                 key_mask,
                 self._causal_mask,
-                pad_lens,
-                key_lens,
                 pack_spans,
             )
-        if last_only:
-            if pack_spans is not None:
-                x = x[:, pack_spans[1:] - 1, :]
-            else:
-                x = x[:, -1:, :]
+        if pack_spans is not None:
+            x = x[:, pack_spans[1:] - 1, :]
         elif logit_positions is not None:
             x = x[:, logit_positions, :]
         x = self.ln_f.forward_numpy(x)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..config import DEFAULT_KV_PAGE_TOKENS
 from ..data.instruction_pair import InstructionPair
 from ..errors import GenerationError
 from ..llm.prompts import _ids, encode_instruction_prompt
@@ -135,7 +136,7 @@ def dataset_ifd(
     tokenizer: WordTokenizer,
     pairs: list[InstructionPair],
     batch_size: int = 16,
-    kv_page_tokens: int | None = None,
+    kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
 ) -> list[PairIFD | None]:
     """IFD for every pair via one :meth:`BatchedEngine.score` pass.
 

@@ -151,7 +151,7 @@ def _fleet_worker_main(
             prefill_concurrency=config.prefill_concurrency,
             kv_page_tokens=config.kv_page_tokens,
             kv_pool_pages=config.kv_pool_pages,
-            kv_prefix_cache=config.kv_prefix_cache_enabled,
+            kv_prefix_cache=config.kv_prefix_cache,
             preemption=config.preemption_enabled,
         ),
         metrics,
@@ -622,11 +622,6 @@ class EngineFleet:
         )
         agg: dict = {
             "workers": len(snaps),
-            "paged": (
-                all(s.get("paged", False) for s in snaps)
-                if snaps
-                else serving.kv_page_tokens is not None
-            ),
             "kv_page_tokens": serving.kv_page_tokens,
         }
         for stat_key in summed_keys:

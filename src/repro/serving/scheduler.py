@@ -15,8 +15,8 @@ behaviour deterministic:
   that late-join prefill is *interleaved*: each :meth:`pump` advances
   every joining prompt (up to the engine's ``prefill_concurrency``) by
   at most one chunk alongside one decode step, so a burst of long
-  prompts delays the in-flight requests by a bounded ragged chunk
-  forward per step instead of a whole prompt-length forward pass each;
+  prompts delays the in-flight requests by a bounded chunk per step
+  instead of a whole prompt-length forward pass each;
 * admission is capped at the engine's slot count, so jobs keep waiting in
   the server's *priority* queue (not the engine's FIFO) until a slot is
   actually imminent — priorities stay meaningful under load;
@@ -123,9 +123,9 @@ class StreamingScheduler:
 
         Plain int/bool reads of engine fields (safe to call from the
         HTTP threads while the worker is pumping — values may be one
-        step stale, never torn): fleet occupancy, and for a paged KV
-        pool the ``free_pages`` headroom that signals admission pressure
-        before requests start queueing.
+        step stale, never torn): fleet occupancy, and the KV pool's
+        ``free_pages`` headroom that signals admission pressure before
+        requests start queueing.
         """
         return self.engine.kv_stats()
 
@@ -179,8 +179,8 @@ class StreamingScheduler:
 
         Runs only when some tracked job carries a deadline.  A cancelled
         job's partial tokens are discarded (its deadline makes the result
-        worthless) and its queue entry / parked slab / KV slot is freed
-        for live work.
+        worthless) and its queue entry / parked prefill row / KV slot is
+        freed for live work.
         """
         now = time.monotonic()
         overdue = [

@@ -186,7 +186,7 @@ class RevisionServer:
                 prefill_concurrency=self.config.prefill_concurrency,
                 kv_page_tokens=self.config.kv_page_tokens,
                 kv_pool_pages=self.config.kv_pool_pages,
-                kv_prefix_cache=self.config.kv_prefix_cache_enabled,
+                kv_prefix_cache=self.config.kv_prefix_cache,
                 preemption=self.config.preemption_enabled,
             ),
             self.metrics,

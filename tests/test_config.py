@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_SEED, PRESETS, get_scale, make_rng, spawn_rng, ModelScale
+from repro.config import (
+    DEFAULT_KV_PAGE_TOKENS, DEFAULT_SEED, PRESETS, get_scale, make_rng,
+    spawn_rng, ModelScale,
+)
 from repro.errors import ConfigError
 
 
@@ -123,14 +126,15 @@ def test_serving_config_validates_prefill_concurrency():
 def test_scale_config_validates_kv_paging():
     with pytest.raises(ConfigError, match="kv_page_tokens"):
         get_scale("ci").scaled(kv_page_tokens=0)
-    with pytest.raises(ConfigError, match="kv_pool_pages requires"):
-        get_scale("ci").scaled(kv_pool_pages=8)
+    with pytest.raises(ConfigError, match="kv_page_tokens"):
+        get_scale("ci").scaled(kv_page_tokens=None)
     with pytest.raises(ConfigError, match="kv_pool_pages"):
         get_scale("ci").scaled(kv_page_tokens=16, kv_pool_pages=0)
-    # Offline presets default to dense slabs; paging is opt-in.
-    assert get_scale("ci").kv_page_tokens is None
-    cfg = get_scale("ci").scaled(kv_page_tokens=64, kv_pool_pages=24)
-    assert (cfg.kv_page_tokens, cfg.kv_pool_pages) == (64, 24)
+    # Offline presets share the one engine default page size.
+    assert get_scale("ci").kv_page_tokens == DEFAULT_KV_PAGE_TOKENS
+    assert not get_scale("ci").kv_prefix_cache
+    cfg = get_scale("ci").scaled(kv_page_tokens=16, kv_pool_pages=24)
+    assert (cfg.kv_page_tokens, cfg.kv_pool_pages) == (16, 24)
 
 
 def test_serving_config_validates_kv_paging():
@@ -138,10 +142,11 @@ def test_serving_config_validates_kv_paging():
 
     with pytest.raises(ConfigError, match="kv_page_tokens"):
         ServingConfig(kv_page_tokens=0)
-    with pytest.raises(ConfigError, match="kv_pool_pages requires"):
-        ServingConfig(kv_page_tokens=None, kv_pool_pages=8)
-    # The serving default is the paged pool at 64-token pages: resident
-    # KV memory follows the live fleet, and /metrics exports free_pages.
-    assert ServingConfig().kv_page_tokens == 64
+    with pytest.raises(ConfigError, match="kv_page_tokens"):
+        ServingConfig(kv_page_tokens=None)
+    # The serving default is 64-token pages with the prefix cache on:
+    # resident KV memory follows the live fleet, and /metrics exports
+    # free_pages.
+    assert ServingConfig().kv_page_tokens == DEFAULT_KV_PAGE_TOKENS == 64
     assert ServingConfig().kv_pool_pages is None
-    assert ServingConfig(kv_page_tokens=None).kv_page_tokens is None
+    assert ServingConfig().kv_prefix_cache is True

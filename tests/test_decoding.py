@@ -22,7 +22,6 @@ from repro.nn import (
     GenerationRequest,
     InductionCopyBias,
     PagedKVCaches,
-    SlotKVCaches,
     TransformerConfig,
     TransformerLM,
 )
@@ -320,11 +319,11 @@ def test_engine_submit_step_collect_matches_generate(model, ragged_prompts):
     assert engine.n_active == 0 and engine.n_pending == 0
 
 
-# -- ragged batched prefill --------------------------------------------------------
+# -- packed prefill ----------------------------------------------------------------
 
 
-def test_ragged_prefill_first_tokens_bitwise_identical(model, ragged_prompts):
-    """One ragged prefill forward must pick the exact first tokens of the
+def test_packed_prefill_first_tokens_bitwise_identical(model, ragged_prompts):
+    """One packed prefill forward must pick the exact first tokens of the
     per-request path across uneven prompt lengths (including length 1 and
     the batch's longest, pad-free row)."""
     prompts = ragged_prompts + [[9], list(range(5, 55))]
@@ -338,19 +337,19 @@ def test_ragged_prefill_first_tokens_bitwise_identical(model, ragged_prompts):
     assert got == expected
 
 
-def test_ragged_prefill_last_token_logits_match_per_request(model, ragged_prompts):
-    """The batched prefill's last-token logits agree with a lone prefill
-    to within BLAS kernel-selection noise, and agree exactly on argmax."""
-    from repro.nn.decoding import _SlotState
-
+def test_packed_prefill_last_token_logits_match_per_request(model, ragged_prompts):
+    """The packed prefill forward's last-token logits agree with a lone
+    float64 prefill to within float32 and BLAS kernel-selection noise,
+    and agree exactly on argmax."""
     prompts = ragged_prompts + [[9]]
     engine = BatchedEngine(model, max_batch=len(prompts))
+    for p in prompts:
+        engine.submit(GenerationRequest(p, 4, eos_id=2))
     engine._ensure_state()
-    states = [
-        _SlotState(i, GenerationRequest(p, 4, eos_id=2), 4)
-        for i, p in enumerate(prompts)
-    ]
-    logits = engine._ragged_prefill(states, list(range(len(states))))
+    plan = engine._admit()
+    assert [end for _, end in plan] == [len(p) for p in prompts]
+    logits = engine._unified_forward(plan, 0)
+    assert logits.dtype == np.float32
     for row, prompt in enumerate(prompts):
         caches = [{"k": None, "v": None} for _ in model.blocks]
         ref = model._forward_numpy(
@@ -360,7 +359,7 @@ def test_ragged_prefill_last_token_logits_match_per_request(model, ragged_prompt
         np.testing.assert_allclose(logits[row], ref, atol=1e-4, rtol=1e-5)
 
 
-def test_ragged_prefill_then_decode_matches_sequential(model):
+def test_packed_prefill_then_decode_matches_sequential(model):
     """Uneven prompts admitted in one wave decode to full parity."""
     rng = np.random.default_rng(17)
     prompts = [
@@ -771,42 +770,45 @@ def test_cancel_pending_parked_and_active(model):
 # -- paged KV pool -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("page_tokens", [1, 3, 16, 64])
-def test_paged_engine_matches_dense(model, ragged_prompts, page_tokens):
-    """The paged pool is a storage change, never a decoding change:
-    token-for-token identical to dense slabs at every page size."""
-    requests = lambda: [GenerationRequest(p, 14, eos_id=2) for p in ragged_prompts]
-    expected = BatchedEngine(model, max_batch=4).generate(requests())
+@pytest.mark.parametrize("page_tokens", [1, 3, 16, 64, 80])
+def test_paged_engine_matches_sequential(model, ragged_prompts, page_tokens):
+    """The page size is a storage choice, never a decoding change:
+    token-for-token identical to the sequential path at every page size,
+    including one page per sequence (80 = max_seq_len)."""
+    expected = _sequential(model, ragged_prompts, 14, eos_id=2)
     engine = BatchedEngine(model, max_batch=4, kv_page_tokens=page_tokens)
-    assert engine.generate(requests()) == expected
+    got = engine.generate(
+        [GenerationRequest(p, 14, eos_id=2) for p in ragged_prompts]
+    )
+    assert got == expected
     stats = engine.kv_stats()
-    assert stats["paged"] and stats["pages_in_use"] == 0
+    assert stats["pages_in_use"] == 0
     assert stats["reserved_pages"] == 0
 
 
-def test_paged_chunked_multislot_matches_dense(model, ragged_prompts):
-    """Paged + multi-slot chunked admission + unified step forward: the
-    full serving configuration reproduces dense tokens exactly."""
+def test_paged_chunked_multislot_matches_sequential(model, ragged_prompts):
+    """Small pages + multi-slot chunked admission in the packed step
+    forward: the full serving configuration reproduces sequential tokens
+    exactly."""
     expected = _sequential(model, ragged_prompts, 14, eos_id=2)
-    for unified in (True, False):
-        engine = BatchedEngine(
-            model, max_batch=4, prefill_chunk_tokens=3, prefill_concurrency=4,
-            kv_page_tokens=8, unified_step=unified,
-        )
-        ids = [
-            engine.submit(GenerationRequest(p, 14, eos_id=2))
-            for p in ragged_prompts[:4]
-        ]
+    engine = BatchedEngine(
+        model, max_batch=4, prefill_chunk_tokens=3, prefill_concurrency=4,
+        kv_page_tokens=8,
+    )
+    ids = [
+        engine.submit(GenerationRequest(p, 14, eos_id=2))
+        for p in ragged_prompts[:4]
+    ]
+    engine.step()
+    ids += [
+        engine.submit(GenerationRequest(p, 14, eos_id=2))
+        for p in ragged_prompts[4:]
+    ]
+    results: dict[int, list[int]] = {}
+    while engine.has_work:
         engine.step()
-        ids += [
-            engine.submit(GenerationRequest(p, 14, eos_id=2))
-            for p in ragged_prompts[4:]
-        ]
-        results: dict[int, list[int]] = {}
-        while engine.has_work:
-            engine.step()
-            results.update(engine.collect())
-        assert [results[i] for i in ids] == expected, f"unified={unified}"
+        results.update(engine.collect())
+    assert [results[i] for i in ids] == expected
 
 
 def test_page_exhaustion_defers_admission_until_pages_free(model):
@@ -847,7 +849,10 @@ def test_pool_too_small_for_any_sequence_is_rejected(model):
     with pytest.raises(GenerationError):
         BatchedEngine(model, max_batch=2, kv_page_tokens=0)
     with pytest.raises(GenerationError):
-        BatchedEngine(model, max_batch=2, kv_pool_pages=4)  # needs page size
+        BatchedEngine(model, max_batch=2, kv_page_tokens=None)
+    with pytest.raises(GenerationError):
+        # 80-token context at the default 64-token page needs 2 pages.
+        BatchedEngine(model, max_batch=2, kv_pool_pages=1)
 
 
 def test_cancel_recycles_pages_immediately(model):
@@ -885,8 +890,9 @@ def test_cancel_recycles_pages_immediately(model):
 def test_paged_memory_scales_with_live_tokens(model):
     """The KV-memory regression floor (also a ci.sh leg): an engine
     provisioned wide but serving staggered arrivals must hold several
-    times less KV memory paged than the dense slabs it replaces, at
-    identical tokens."""
+    times less KV memory than per-slot full-context slabs would
+    (``2 × n_layers × max_batch × max_seq_len × d_model`` float32), at
+    sequential-identical tokens."""
     rng = np.random.default_rng(71)
     max_batch = 16
     prompts = [
@@ -913,52 +919,48 @@ def test_paged_memory_scales_with_live_tokens(model):
         results.update(engine.collect())
         return [results[i] for i in ids], peak_resident
 
-    dense_tokens, dense_resident = staggered(BatchedEngine(model, max_batch=max_batch))
+    cfg = model.config
+    slab_bytes = 2 * cfg.n_layers * max_batch * cfg.max_seq_len * cfg.d_model * 4
     paged_tokens, paged_resident = staggered(
         BatchedEngine(model, max_batch=max_batch, kv_page_tokens=16)
     )
-    assert paged_tokens == dense_tokens
-    ratio = dense_resident / paged_resident
+    assert paged_tokens == [model.generate(p, 6) for p in prompts]
+    ratio = slab_bytes / paged_resident
     assert ratio >= 2.0, (
-        f"paged pool holds {paged_resident} bytes vs {dense_resident} dense "
-        f"({ratio:.2f}x): memory no longer scales with live tokens"
+        f"paged pool holds {paged_resident} bytes vs {slab_bytes} for "
+        f"full-context slabs ({ratio:.2f}x): memory no longer scales with "
+        "live tokens"
     )
 
 
-# -- float32 fused-attention fast path ---------------------------------------------
+# -- float32 packed forward ---------------------------------------------------------
 
 
-def test_f32_attention_fast_path_token_parity(model, ragged_prompts, monkeypatch):
-    """REPRO_F32_ATTN=1 keeps the fused score pipeline in float32; greedy
-    tokens must match the float64 default on both the sequential and the
-    batched path (argmax margins dwarf the last-ulp drift)."""
+def test_engine_forwards_are_packed_float32(model, ragged_prompts):
+    """Every engine model pass is the packed varlen forward: during a
+    ragged, EOS-enabled generate with refill (more requests than slots),
+    each ``_forward_numpy`` call passes ``pack_spans`` and returns
+    float32 logits — no float64 promotion anywhere on the engine path."""
     expected = _sequential(model, ragged_prompts, 14, eos_id=2)
-    monkeypatch.setenv("REPRO_F32_ATTN", "1")
-    got_seq = _sequential(model, ragged_prompts, 14, eos_id=2)
-    got_batched = BatchedEngine(model, max_batch=4).generate(
-        [GenerationRequest(p, 14, eos_id=2) for p in ragged_prompts]
-    )
-    assert got_seq == expected
-    assert got_batched == expected
+    engine = BatchedEngine(model, max_batch=4)
+    calls: list[tuple[bool, np.dtype]] = []
+    original = engine.model._forward_numpy
 
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((kwargs.get("pack_spans") is not None, out.dtype))
+        return out
 
-def test_f32_attention_keeps_scores_in_float32(model, monkeypatch):
-    """The fast path must actually avoid the float64 promotion (the
-    default path keeps it, bitwise-pinning recorded outputs)."""
-    import repro.nn.transformer as tr
-
-    def logits_dtype():
-        caches = [{"k": None, "v": None} for _ in model.blocks]
-        out = model._forward_numpy(
-            np.asarray([[5, 6, 7]], dtype=np.int64), caches
+    engine.model._forward_numpy = recording
+    try:
+        got = engine.generate(
+            [GenerationRequest(p, 14, eos_id=2) for p in ragged_prompts]
         )
-        return out.dtype
-
-    monkeypatch.delenv("REPRO_F32_ATTN", raising=False)
-    assert logits_dtype() == np.float64
-    monkeypatch.setenv("REPRO_F32_ATTN", "1")
-    assert tr._f32_fused_attention()
-    assert logits_dtype() == np.float32
+    finally:
+        del engine.model._forward_numpy
+    assert got == expected
+    assert len(calls) > len(ragged_prompts)
+    assert all(packed and dtype == np.float32 for packed, dtype in calls), calls
 
 
 def test_cancel_mid_parked_fleet_keeps_neighbors_intact(model):
@@ -991,36 +993,24 @@ def test_cancel_mid_parked_fleet_keeps_neighbors_intact(model):
 def _write_tokens(caches, slot: int, values: np.ndarray) -> None:
     """Write per-token K/V rows (value v at token t) into ``slot``."""
     n = len(values)
-    if isinstance(caches, PagedKVCaches):
-        caches.ensure(slot, n)
-        cols = caches._token_cols(slot, 0, n)
-        for layer in range(len(caches.k)):
-            caches.k[layer][:, cols, :] = values[None, :, None]
-            caches.v[layer][:, cols, :] = values[None, :, None]
-    else:
-        for layer in range(len(caches.k)):
-            caches.k[layer][slot, :, :n] = values[None, :, None]
-            caches.v[layer][slot, :, :n] = values[None, :, None]
+    caches.ensure(slot, n)
+    cols = caches._token_cols(slot, 0, n)
+    for layer in range(len(caches.k)):
+        caches.k[layer][:, cols, :] = values[None, :, None]
+        caches.v[layer][:, cols, :] = values[None, :, None]
     caches.lengths[slot] = n
 
 
 def _read_tokens(caches, slot: int, n: int) -> np.ndarray:
-    if isinstance(caches, PagedKVCaches):
-        cols = caches._token_cols(slot, 0, n)
-        return caches.k[0][0, cols, 0].copy()
-    return caches.k[0][slot, 0, :n, 0].copy()
+    cols = caches._token_cols(slot, 0, n)
+    return caches.k[0][0, cols, 0].copy()
 
 
-@pytest.mark.parametrize("paged", [False, True])
-def test_move_prefix_contract_updates_lengths(model, paged):
-    """Both backends must satisfy one compaction contract: after
-    ``move_prefix(src, dst, n)`` the dst holds the n-token prefix AND
-    ``lengths[dst] == n`` — callers never patch lengths afterwards."""
-    caches = (
-        PagedKVCaches(model, max_batch=4, page_tokens=8)
-        if paged
-        else SlotKVCaches(model, max_batch=4)
-    )
+def test_move_prefix_contract_updates_lengths(model):
+    """Compaction contract: after ``move_prefix(src, dst, n)`` the dst
+    holds the n-token prefix AND ``lengths[dst] == n`` — callers never
+    patch lengths afterwards."""
+    caches = PagedKVCaches(model, max_batch=4, page_tokens=8)
     values = np.arange(1.0, 11.0, dtype=np.float32)
     _write_tokens(caches, 1, values)
     caches.lengths[0] = 999  # stale junk the move must overwrite
@@ -1029,15 +1019,10 @@ def test_move_prefix_contract_updates_lengths(model, paged):
     assert np.array_equal(_read_tokens(caches, 0, 10), values)
 
 
-@pytest.mark.parametrize("paged", [False, True])
-def test_permute_prefixes_contract_updates_lengths(model, paged):
+def test_permute_prefixes_contract_updates_lengths(model):
     """``permute_prefixes(base, order, lengths)`` must record each moved
-    row's length in the cache on both backends."""
-    caches = (
-        PagedKVCaches(model, max_batch=4, page_tokens=8)
-        if paged
-        else SlotKVCaches(model, max_batch=4)
-    )
+    row's length in the cache."""
+    caches = PagedKVCaches(model, max_batch=4, page_tokens=8)
     rows = {1: np.arange(1.0, 6.0, dtype=np.float32),
             2: np.arange(10.0, 22.0, dtype=np.float32),
             3: np.arange(30.0, 33.0, dtype=np.float32)}
@@ -1102,11 +1087,6 @@ def _prefix_engine(model, **kwargs):
     kwargs.setdefault("max_batch", 4)
     kwargs.setdefault("kv_page_tokens", 8)
     return BatchedEngine(model, kv_prefix_cache=True, **kwargs)
-
-
-def test_prefix_cache_requires_paged_pool(model):
-    with pytest.raises(GenerationError, match="kv_page_tokens"):
-        BatchedEngine(model, kv_prefix_cache=True)
 
 
 @pytest.mark.parametrize("chunk", [None, 5])

@@ -282,9 +282,8 @@ def test_fleet_drain_completes_inflight_and_rejects_new(coach, dataset, referenc
         assert stat["clean_exit"]
         kv = stat["kv"]
         assert kv is not None and kv["n_active"] == 0
-        if kv.get("paged"):
-            assert kv["free_pages"] == kv["total_pages"]
-            assert kv["reserved_pages"] == 0
+        assert kv["free_pages"] == kv["total_pages"]
+        assert kv["reserved_pages"] == 0
 
 
 def test_fleet_persists_cache_across_restarts(coach, dataset, reference, tmp_path):

@@ -130,11 +130,10 @@ def test_fleet_invariants_under_seeded_faults(seed, coach, workload, tmp_path):
         assert kv is not None and kv["n_active"] == 0, (
             f"seed {seed}: worker {stat['slot']} exited with active sequences"
         )
-        if kv.get("paged"):
-            assert kv["free_pages"] == kv["total_pages"], (
-                f"seed {seed}: worker {stat['slot']} leaked KV pages"
-            )
-            assert kv.get("reserved_pages", 0) == 0
+        assert kv["free_pages"] == kv["total_pages"], (
+            f"seed {seed}: worker {stat['slot']} leaked KV pages"
+        )
+        assert kv["reserved_pages"] == 0
     # Persistence: a torn drain-time write must read back as a
     # quarantined miss; a healthy one as the exported revision cache.
     persisted = fleet.artifact_cache.get_json(

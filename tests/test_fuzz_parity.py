@@ -10,12 +10,11 @@ it through :class:`BatchedEngine`'s streaming ``submit``/``step``/
 :meth:`TransformerLM.generate` path (cancelled requests must be an exact
 prefix of it).
 
-Each scenario also draws its *KV backend*: dense slot slabs or the paged
-pool at a random page size (including degenerate one-token pages), a
-randomly undersized page budget (so page-exhaustion deferral and
-recycling are fuzzed, not just directed-tested), the radix prefix cache
-on or off, and the unified mixed-length step forward on or off — none
-of which may change a single token.
+Each scenario also draws its *KV layout*: one full-context page per
+sequence or a random page size (including degenerate one-token pages),
+a randomly undersized page budget (so page-exhaustion deferral and
+recycling are fuzzed, not just directed-tested), and the radix prefix
+cache on or off — none of which may change a single token.
 
 Scenarios draw *shared-prefix request families* alongside independent
 prompts: several requests extend the same template prefix at random cut
@@ -32,13 +31,11 @@ failure is reproducible in isolation::
         python -m pytest tests/test_fuzz_parity.py
 
 ``REPRO_FUZZ_SCENARIOS`` (default 60) sets the per-run budget, and
-``REPRO_FUZZ_PAGED`` pins the backend draw: ``on`` forces every
-scenario onto the paged pool (the CI paged leg — same seeds, so each
-trace differentially tests paged against its dense twin from the
-default leg), ``off`` forces dense, and ``auto`` (default) randomizes
-per scenario.  ``REPRO_FUZZ_PREFIX`` pins the prefix-cache draw the
-same way (``on`` applies to paged scenarios only).  ``scripts/ci.sh``
-pins all of them so CI runs a fixed, deterministic corpus.
+``REPRO_FUZZ_PREFIX`` pins the prefix-cache draw: ``on`` forces the
+radix prefix cache on in every scenario (the CI prefix leg — same
+seeds, so each trace differentially replays the default leg's), ``off``
+forces it off, and ``auto`` (default) randomizes per scenario.
+``scripts/ci.sh`` pins it so CI runs a fixed, deterministic corpus.
 
 ``REPRO_FUZZ_PREEMPT`` pins the preemption draw: ``on`` gives every
 scenario random request priorities plus a random mid-decode
@@ -62,7 +59,6 @@ from repro.nn import BatchedEngine, GenerationRequest, TransformerConfig, Transf
 
 MASTER_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20240311"))
 N_SCENARIOS = int(os.environ.get("REPRO_FUZZ_SCENARIOS", "60"))
-PAGED_MODE = os.environ.get("REPRO_FUZZ_PAGED", "auto")  # auto | on | off
 PREFIX_MODE = os.environ.get("REPRO_FUZZ_PREFIX", "auto")  # auto | on | off
 PREEMPT_MODE = os.environ.get("REPRO_FUZZ_PREEMPT", "auto")  # auto | on | off
 PAGE_SIZES = (1, 3, 16, 64)
@@ -99,10 +95,9 @@ class _Scenario:
     max_batch: int
     prefill_chunk_tokens: int | None
     prefill_concurrency: int
-    kv_page_tokens: int | None = None
+    kv_page_tokens: int
     kv_pool_pages: int | None = None
     kv_prefix_cache: bool = False
-    unified_step: bool = True
     preemption: bool = False
     preempt_seed: int = 0
     requests: list[_FuzzRequest] = field(default_factory=list)
@@ -118,12 +113,12 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
     preempt_coin = preempt_rng.random() < 0.5
     preempt_seed = int(preempt_rng.integers(0, 2**31))
     preempt = preempt_coin if PREEMPT_MODE == "auto" else PREEMPT_MODE == "on"
-    # KV backend draw.  Every backend-related draw is consumed
+    # KV layout draw.  Every layout-related draw is consumed
     # unconditionally, in a fixed order, BEFORE the mode override is
     # applied: the rng stream position at the trace draws below is then
-    # identical across REPRO_FUZZ_PAGED=auto/on/off, so the forced legs
-    # replay the auto leg's exact traces (prompts, arrivals, cancels) on
-    # the other backend — a true differential corpus.
+    # identical across REPRO_FUZZ_PREFIX=auto/on/off, so the forced legs
+    # replay the auto leg's exact traces (prompts, arrivals, cancels) —
+    # a true differential corpus, and existing seeds keep their traces.
     paged_coin = rng.random() < 0.5
     page_tokens = int(rng.choice(PAGE_SIZES))
     undersized_coin = rng.random() < 0.35
@@ -132,17 +127,17 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
     # recycle pages from retirements/cancels — without token drift.
     pages_per_seq = -(-context // page_tokens)
     pool_pages = pages_per_seq + int(rng.integers(0, 2 * pages_per_seq))
-    paged = paged_coin if PAGED_MODE == "auto" else PAGED_MODE == "on"
     prefix = prefix_coin if PREFIX_MODE == "auto" else PREFIX_MODE == "on"
-    if not paged:
-        page_tokens = None
+    if not paged_coin:
+        # The coin's other face was once dense per-slot slabs; one
+        # full-context page per sequence is the same layout.
+        page_tokens = context
         pool_pages = None
-        prefix = False
     elif not undersized_coin:
         pool_pages = None
     # Shared-prefix request families: templates are drawn unconditionally
-    # (fixed draw order across PAGED/PREFIX overrides) and a slice of the
-    # requests below extends one of them at a random cut point.
+    # (fixed draw order across PREFIX/PREEMPT overrides) and a slice of
+    # the requests below extends one of them at a random cut point.
     templates = [
         [int(t) for t in rng.integers(5, VOCAB, size=int(rng.integers(4, context // 2 + 1)))]
         for _ in range(2)
@@ -157,10 +152,12 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
         kv_page_tokens=page_tokens,
         kv_pool_pages=pool_pages,
         kv_prefix_cache=prefix,
-        unified_step=rng.random() < 0.75,
         preemption=preempt,
         preempt_seed=preempt_seed,
     )
+    # The retired unified-step coin: still drawn, so every seed replays
+    # its recorded trace.
+    rng.random()
     for i in range(int(rng.integers(1, 11))):
         # Drawn unconditionally (stream alignment across modes), applied
         # only on the preempt legs.
@@ -228,7 +225,6 @@ def _run_engine_trace(
         kv_page_tokens=scenario.kv_page_tokens,
         kv_pool_pages=scenario.kv_pool_pages,
         kv_prefix_cache=scenario.kv_prefix_cache,
-        unified_step=scenario.unified_step,
     )
     preempt_rng = (
         np.random.default_rng(scenario.preempt_seed)
@@ -281,22 +277,21 @@ def _run_engine_trace(
         assert guard < 5000, "fuzz trace failed to terminate"
     stats = engine.kv_stats()
     assert stats["n_preempted"] == 0, stats    # no sequence left suspended
-    if stats["paged"]:
-        # Every page and every reservation must come back once the trace
-        # drains — leaks here would strangle a long-lived server.
-        assert stats["pages_in_use"] == 0, stats
-        assert stats["reserved_pages"] == 0, stats
-        if stats.get("prefix_cache") is not None:
-            # No shared page may stay pinned after its borrowers retired,
-            # and clearing the index must return every allocated page to
-            # the free list — zero leaked refcounts, pages, or pins.
-            assert stats["prefix_cache"]["shared_pinned_pages"] == 0, stats
-            engine.clear_prefix_cache()
-            cleared = engine.kv_stats()
-            assert cleared["prefix_cache"]["cached_pages"] == 0, cleared
-            assert (
-                cleared["free_list_pages"] == cleared["allocated_pages"]
-            ), cleared
+    # Every page and every reservation must come back once the trace
+    # drains — leaks here would strangle a long-lived server.
+    assert stats["pages_in_use"] == 0, stats
+    assert stats["reserved_pages"] == 0, stats
+    if stats.get("prefix_cache") is not None:
+        # No shared page may stay pinned after its borrowers retired,
+        # and clearing the index must return every allocated page to
+        # the free list — zero leaked refcounts, pages, or pins.
+        assert stats["prefix_cache"]["shared_pinned_pages"] == 0, stats
+        engine.clear_prefix_cache()
+        cleared = engine.kv_stats()
+        assert cleared["prefix_cache"]["cached_pages"] == 0, cleared
+        assert (
+            cleared["free_list_pages"] == cleared["allocated_pages"]
+        ), cleared
     return results, seq_ids
 
 

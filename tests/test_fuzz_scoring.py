@@ -10,8 +10,8 @@ cancellations of both kinds — through :class:`BatchedEngine`'s streaming
   :meth:`TransformerLM.sequence_logprobs` reference;
 * every completed generation job is token-for-token
   :meth:`TransformerLM.generate` (cancelled: an exact prefix);
-* after the trace drains, the paged KV pool reports **zero pages in use
-  and zero reservations** — score jobs must never leak the slots, pages
+* after the trace drains, the KV pool reports **zero pages in use and
+  zero reservations** — score jobs must never leak the slots, pages
   or reservations they are not supposed to occupy in the first place.
 
 Scenarios follow the ``tests/test_fuzz_parity.py`` conventions: seed =
@@ -79,24 +79,27 @@ class _FuzzJob:
 class _Scenario:
     seed: int
     max_batch: int
-    kv_page_tokens: int | None = None
+    kv_page_tokens: int
     kv_pool_pages: int | None = None
     jobs: list[_FuzzJob] = field(default_factory=list)
 
 
 def _draw_scenario(seed: int, context: int) -> _Scenario:
     rng = np.random.default_rng(seed)
-    # Backend draw first, every draw consumed unconditionally (the
-    # fuzz-parity convention): dense half the time, else a random page
-    # size, sometimes with an undersized pool so generation jobs hit
-    # page-exhaustion deferral while score jobs stream past them.
+    # KV layout draw first, every draw consumed unconditionally (the
+    # fuzz-parity convention): one page per sequence half the time, else
+    # a random page size, sometimes with an undersized pool so
+    # generation jobs hit page-exhaustion deferral while score jobs
+    # stream past them.
     paged_coin = rng.random() < 0.5
     page_tokens = int(rng.choice(PAGE_SIZES))
     undersized_coin = rng.random() < 0.35
     pages_per_seq = -(-context // page_tokens)
     pool_pages = pages_per_seq + int(rng.integers(0, 2 * pages_per_seq))
     if not paged_coin:
-        page_tokens = None
+        # The coin's other face was once dense per-slot slabs; one
+        # full-context page per sequence is the same layout.
+        page_tokens = context
         pool_pages = None
     elif not undersized_coin:
         pool_pages = None
@@ -171,9 +174,8 @@ def _run_trace(model: TransformerLM, scenario: _Scenario) -> dict[int, object]:
         guard += 1
         assert guard < 5000, "fuzz trace failed to terminate"
     stats = engine.kv_stats()
-    if stats["paged"]:
-        assert stats["pages_in_use"] == 0, stats
-        assert stats["reserved_pages"] == 0, stats
+    assert stats["pages_in_use"] == 0, stats
+    assert stats["reserved_pages"] == 0, stats
     return results
 
 

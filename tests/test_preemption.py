@@ -2,10 +2,10 @@
 
 The contract under test is exactly the ISSUE's headline: a sequence
 that is preempted mid-decode and later resumed produces **exactly** the
-tokens it would have produced uninterrupted — across dense and paged
-backends, any prefill chunking, resume-after-cancel, and page-pressure
-auto-preemption — with **zero** prompt tokens re-prefilled on the paged
-backend (the ``total_prompt_tokens_prefilled`` counter proves it).  On
+tokens it would have produced uninterrupted — across page sizes, any
+prefill chunking, resume-after-cancel, and page-pressure
+auto-preemption — with **zero** prompt tokens re-prefilled (the
+``total_prompt_tokens_prefilled`` counter proves it).  On
 top sit the serving-layer guarantees: priority classes order admission,
 a saturated fleet evicts its lowest-priority decode for a strictly more
 urgent arrival, streams surface preemption as a stall (never an error),
@@ -114,9 +114,8 @@ def _drive(engine, seq_ids, preempt_at):
 
 def _assert_kv_clean(engine):
     stats = engine.kv_stats()
-    if stats.get("paged"):
-        assert stats["pages_in_use"] == 0
-        assert stats["reserved_pages"] == 0
+    assert stats["pages_in_use"] == 0
+    assert stats["reserved_pages"] == 0
     assert stats["n_active"] == 0
     assert stats["n_preempted"] == 0
 
@@ -126,9 +125,7 @@ def _assert_kv_clean(engine):
 
 @pytest.mark.parametrize("chunk", [None, 1, 3, 64])
 def test_paged_preempt_resume_token_parity(model, prompts, chunk):
-    baseline = BatchedEngine(model, max_batch=3).generate(
-        [GenerationRequest(p, 16, eos_id=2) for p in prompts]
-    )
+    baseline = [model.generate(p, 16, eos_id=2) for p in prompts]
     engine = BatchedEngine(
         model,
         max_batch=3,
@@ -140,21 +137,6 @@ def test_paged_preempt_resume_token_parity(model, prompts, chunk):
         engine.submit(GenerationRequest(p, 16, eos_id=2)) for p in prompts
     ]
     got = _drive(engine, seq_ids, preempt_at={0: 2, 3: 4, 5: 7})
-    assert got == baseline
-    assert engine.preemptions >= 1
-    assert engine.resumes == engine.preemptions
-    _assert_kv_clean(engine)
-
-
-def test_dense_preempt_resume_token_parity(model, prompts):
-    baseline = BatchedEngine(model, max_batch=3).generate(
-        [GenerationRequest(p, 16, eos_id=2) for p in prompts]
-    )
-    engine = BatchedEngine(model, max_batch=3)
-    seq_ids = [
-        engine.submit(GenerationRequest(p, 16, eos_id=2)) for p in prompts
-    ]
-    got = _drive(engine, seq_ids, preempt_at={1: 2, 4: 5})
     assert got == baseline
     assert engine.preemptions >= 1
     assert engine.resumes == engine.preemptions

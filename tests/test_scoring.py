@@ -3,8 +3,8 @@
 Three contracts are pinned here.  **Bitwise parity**: every per-token
 logprob from :meth:`BatchedEngine.score` is bit-for-bit identical to the
 sequential :meth:`TransformerLM.sequence_logprobs` reference, across
-ragged lengths, dense slabs and every paged KV size — batching lives at
-the intake layer, never in the arithmetic.  **Zero KV footprint**: score
+ragged lengths and every KV page size — batching lives at the intake
+layer, never in the arithmetic.  **Zero KV footprint**: score
 jobs occupy no slot, page or reservation, so mixed score/revise traffic
 leaks nothing.  **Key-space isolation**: a ``score`` and a ``revise`` of
 the same content are different computations and must never dedup or
@@ -139,10 +139,10 @@ def test_sequence_score_derived_quantities():
 # -- engine parity ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kv_page_tokens", (None,) + PAGE_SIZES)
+@pytest.mark.parametrize("kv_page_tokens", PAGE_SIZES)
 def test_engine_score_bitwise_parity(engine_model, kv_page_tokens):
-    """Batched scoring is bit-for-bit the sequential reference — on the
-    dense backend and at every page size, including one-token pages."""
+    """Batched scoring is bit-for-bit the sequential reference — at every
+    page size, including one-token pages."""
     rng = np.random.default_rng(42)
     requests = _ragged_requests(rng, 24, engine_model.config.max_seq_len)
     engine = BatchedEngine(

@@ -922,14 +922,15 @@ def test_http_metrics_schema_is_stable(coach, dataset):
     ):
         assert isinstance(metrics[key], (int, float))
     # The engine section is the admission-pressure dashboard: occupancy
-    # plus (serving default = paged KV) the pool's free-page headroom.
+    # plus the KV pool's free-page headroom.
     engine = metrics["engine"]
     for key in (
         "max_batch", "n_active", "n_prefilling", "n_pending", "free_slots",
-        "paged", "kv_page_tokens", "resident_kv_bytes",
+        "kv_page_tokens", "resident_kv_bytes",
     ):
         assert key in engine, engine
-    assert engine["paged"] is True  # ServingConfig default: 64-token pages
+    assert "paged" not in engine
+    assert engine["kv_page_tokens"] == 64  # ServingConfig default
     assert isinstance(engine["total_pages"], int)
     assert 0 <= engine["free_pages"] <= engine["total_pages"]
 
