@@ -509,13 +509,16 @@ def _priority_preemption(coach: CoachLM) -> dict:
 def _streaming_overhead(coach: CoachLM, pairs: list) -> dict:
     """Sustained tok/s of streamed vs non-streamed revision traffic.
 
-    Identical requests against fresh (cold-cache) servers, best-of-7
-    per mode (each run lasts well under 0.1 s) with the modes
-    interleaved round by round (so a transient
-    machine-load spike hits both sides, not just one); the streamed
-    side pays the per-token delivery plumbing (scheduler callbacks,
-    per-event queues) and must keep it under the
-    :data:`STREAMING_OVERHEAD_CEILING`.
+    Identical requests against fresh (cold-cache) servers, seven
+    rounds of one plain and one streamed run each (each run lasts a
+    fraction of a second; the order inside a round alternates).  Each round
+    yields one paired plain/streamed ratio, so a transient
+    machine-load spike moves both sides of the same ratio, and the gate
+    judges the median of the seven ratios, never a best run of one mode
+    against a best run of the other from a different round.  The
+    streamed side pays the per-token delivery plumbing (scheduler
+    callbacks, per-event queues) and its median ratio must stay under
+    the :data:`STREAMING_OVERHEAD_CEILING`.
     """
 
     def run_once(streamed: bool) -> tuple[float, int]:
@@ -544,22 +547,23 @@ def _streaming_overhead(coach: CoachLM, pairs: list) -> dict:
             elapsed = time.perf_counter() - start
         return n / elapsed, n
 
-    plain_tps = streamed_tps = 0.0
-    plain_tokens = streamed_tokens = 0
-    for _ in range(7):
-        tps, plain_tokens = run_once(False)
-        plain_tps = max(plain_tps, tps)
-        tps, streamed_tokens = run_once(True)
-        streamed_tps = max(streamed_tps, tps)
-    assert streamed_tokens == plain_tokens, (
+    plain_tps, streamed_tps = [], []
+    tokens = {}
+    for round_ in range(7):
+        for streamed in (False, True) if round_ % 2 == 0 else (True, False):
+            tps, tokens[streamed] = run_once(streamed)
+            (streamed_tps if streamed else plain_tps).append(tps)
+    assert tokens[True] == tokens[False], (
         "streaming changed the decoded token count"
     )
+    ratios = [p / s for p, s in zip(plain_tps, streamed_tps)]
     return {
         "n_requests": len(pairs),
-        "engine_tokens": plain_tokens,
-        "plain_tokens_per_sec": round(plain_tps, 1),
-        "streamed_tokens_per_sec": round(streamed_tps, 1),
-        "overhead_ratio": round(plain_tps / streamed_tps, 3),
+        "engine_tokens": tokens[False],
+        "plain_tokens_per_sec": round(float(np.median(plain_tps)), 1),
+        "streamed_tokens_per_sec": round(float(np.median(streamed_tps)), 1),
+        "round_ratios": [round(r, 3) for r in ratios],
+        "overhead_ratio": round(float(np.median(ratios)), 3),
         "overhead_ceiling": STREAMING_OVERHEAD_CEILING,
     }
 
@@ -588,7 +592,7 @@ def test_priority_preemption_and_streaming_overhead(wb):
     print(
         f"streaming overhead: {streaming['plain_tokens_per_sec']:.0f} tok/s "
         f"plain vs {streaming['streamed_tokens_per_sec']:.0f} tok/s streamed "
-        f"({streaming['overhead_ratio']:.2f}x of ≤"
+        f"(median paired ratio {streaming['overhead_ratio']:.2f}x of ≤"
         f"{streaming['overhead_ceiling']:.1f}x budget)"
     )
 
@@ -598,12 +602,10 @@ def test_priority_preemption_and_streaming_overhead(wb):
     assert (
         preemption["ttft_speedup"] >= PRIORITY_TTFT_FLOOR
     ), payload
-    # Per-token delivery plumbing must stay near-free: the streamed run
-    # may not fall more than the ceiling behind the plain run.
-    assert (
-        streaming["plain_tokens_per_sec"]
-        <= STREAMING_OVERHEAD_CEILING * streaming["streamed_tokens_per_sec"]
-    ), payload
+    # Per-token delivery plumbing must stay near-free: in the median
+    # round the streamed run may not fall more than the ceiling behind
+    # the plain run.
+    assert streaming["overhead_ratio"] <= STREAMING_OVERHEAD_CEILING, payload
 
     # Record only after the gates passed.
     write_bench_json("BENCH_serving.json", payload)

@@ -44,6 +44,13 @@
 #   REPRO_FUZZ_NETWORK      on (set below) unlocks the full budget
 #   REPRO_NETWORK_SCENARIOS seeded NetworkFaultPlan count (CI default 30)
 #   REPRO_NETWORK_TIMEOUT_S wall-clock guard for the leg (default 600)
+#
+# The perfbench smoke leg runs each benchmark workload briefly with
+# tracing on (perfbench/run.py --seconds 2 --trace 1) under a hard
+# timeout and fails unless its last output line reports
+# "correct": true — a renamed layer the tracer wraps (MissingTarget) or
+# a broken output check fails here before the benchmark runs.  Knob:
+#   REPRO_PERFBENCH_TIMEOUT_S wall-clock guard per workload (default 300)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -97,3 +104,20 @@ timeout --signal=TERM --kill-after=30 "${REPRO_NETWORK_TIMEOUT_S:-600}" \
     REPRO_NETWORK_SCENARIOS="${REPRO_NETWORK_SCENARIOS:-30}" \
     REPRO_FUZZ_SEED="${REPRO_FUZZ_SEED:-20240311}" \
     python -m pytest tests/test_fuzz_network.py -q
+
+echo "== perfbench smoke: every workload traced, outputs checked =="
+for workload in offline_clean online_mixed http_fleet; do
+    if ! out=$(timeout --signal=TERM --kill-after=30 \
+            "${REPRO_PERFBENCH_TIMEOUT_S:-300}" \
+            python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 2 --trace 1); then
+        echo "error: perfbench $workload failed or timed out" >&2
+        exit 1
+    fi
+    if ! printf '%s\n' "$out" | tail -n 1 | grep -q '"correct": true'; then
+        echo "error: perfbench $workload did not report \"correct\": true" >&2
+        printf '%s\n' "$out" | tail -n 1 >&2
+        exit 1
+    fi
+    echo "perfbench $workload: correct"
+done

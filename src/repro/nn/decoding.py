@@ -902,10 +902,11 @@ class PagedKVCaches:
         Row ``i`` is slot ``first + i``: its new tokens occupy the packed
         token axis ``[spans[i], spans[i+1])`` and land in the slot's
         columns ``[starts[i], ends[i])``.  The first ``n_ones`` rows are
-        single-token (decode-shaped) and scatter with one fancy-index
-        store per layer instead of a per-row loop.  Everything the
-        layers share — write columns, catch-up gathers, per-row extents
-        — is planned here once, so the per-step Python cost is O(rows).
+        single-token (decode-shaped), own packed positions ``[0, n_ones)``,
+        and scatter with one fancy-index store per layer instead of a
+        per-row loop.  Everything the layers share — write columns,
+        catch-up gathers, per-row extents — is planned here once, so the
+        per-step Python cost is O(rows).
         """
         n = len(starts)
         p = self.page_tokens
@@ -924,7 +925,7 @@ class PagedKVCaches:
                 dtype=np.int64,
             )
             ones = (
-                spans[:n_ones],
+                n_ones,
                 one_cols,
                 np.arange(first, first + n_ones),
                 starts[:n_ones],
@@ -1010,6 +1011,18 @@ class _PackedPagedSlots:
         self.catchups = catchups
 
     def update(self, k: np.ndarray, v: np.ndarray):
+        """Store this layer's new K/V and return the attention views.
+
+        ``k``/``v`` are ``(1, H, T_total, Dh)`` in packed order.  Lagging
+        mirror rows catch up from their pages first.  The decode rows'
+        keys are the basic slice ``k[0, :, :n_ones]`` (they own packed
+        positions ``[0, n_ones)``); they scatter into their pool columns
+        and mirror positions and come back as one stacked ``(n_ones, H,
+        view, Dh)`` mirror view.  Each chunk row writes its segment and
+        comes back as its exact-prefix mirror view.  Returns ``(ones_k,
+        ones_v, keys, vals)``, the inputs of
+        :meth:`SelfAttention._packed_attention`.
+        """
         pool = self.pool
         pk = pool.k[self.layer]
         pv = pool.v[self.layer]
@@ -1019,16 +1032,17 @@ class _PackedPagedSlots:
             mv[row, :, have : have + len(cols)] = pv[:, cols, :]
         ones_k = ones_v = None
         if self.ones is not None:
-            at, cols, rows, starts, block, view = self.ones
-            # k[0, :, fancy, :] broadcasts row-first to (ones, H, Dh);
-            # the pool's in-place column index expects (H, ones, Dh),
-            # while the mirror's (fancy, :, fancy) index is row-first.
-            new_k = k[0, :, at, :]
-            new_v = v[0, :, at, :]
-            pk[:, cols, :] = new_k.transpose(1, 0, 2)
-            pv[:, cols, :] = new_v.transpose(1, 0, 2)
-            mk[rows, :, starts] = new_k
-            mv[rows, :, starts] = new_v
+            n, cols, rows, starts, block, view = self.ones
+            # Decode rows hold packed positions [0, n), so their K/V are
+            # the basic slice k[0, :, :n] — (H, n, Dh), the layout the
+            # pool's column store expects; the mirror's (fancy, :, fancy)
+            # store is row-first, hence the transposed view.
+            new_k = k[0, :, :n]
+            new_v = v[0, :, :n]
+            pk[:, cols, :] = new_k
+            pv[:, cols, :] = new_v
+            mk[rows, :, starts] = new_k.transpose(1, 0, 2)
+            mv[rows, :, starts] = new_v.transpose(1, 0, 2)
             ones_k = mk[block, :, :view]
             ones_v = mv[block, :, :view]
         keys, vals = [], []
@@ -1232,6 +1246,7 @@ class BatchedEngine:
     def _validate(self, request: GenerationRequest) -> None:
         if not request.prompt_ids:
             raise GenerationError("prompt must contain at least one token")
+        self.model.check_token_ids(request.prompt_ids, "prompt")
         vocab = self.model.config.vocab_size
         if request.logit_bias is not None and request.logit_bias.shape != (vocab,):
             raise GenerationError(f"logit_bias must have shape ({vocab},)")
@@ -1258,6 +1273,8 @@ class BatchedEngine:
             raise GenerationError("scoring needs a non-empty prompt")
         if not request.completion_ids:
             raise GenerationError("scoring needs a non-empty completion")
+        self.model.check_token_ids(request.prompt_ids, "prompt")
+        self.model.check_token_ids(request.completion_ids, "completion")
         total = len(request.prompt_ids) + len(request.completion_ids)
         if total > self.model.config.max_seq_len:
             raise GenerationError(

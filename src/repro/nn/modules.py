@@ -68,6 +68,27 @@ class Module:
             p.data = state[name].astype(np.float32).copy()
 
 
+class ContiguousTranspose:
+    """A weight's C-contiguous transpose, kept for the inference GEMMs.
+
+    Calling it with a weight tensor returns ``ascontiguousarray(W.T)``,
+    rebuilt only when ``weight.data`` is not the array the cached copy
+    was made from.  Weights here change only by rebinding ``.data``
+    (optimiser steps, state-dict loads, LoRA merges), never in place.
+    """
+
+    __slots__ = ("_source", "_copy")
+
+    def __init__(self):
+        self._source = self._copy = None
+
+    def __call__(self, weight: Tensor) -> np.ndarray:
+        if weight.data is not self._source:
+            self._copy = np.ascontiguousarray(weight.data.T)
+            self._source = weight.data
+        return self._copy
+
+
 class Linear(Module):
     """Affine map ``y = x @ W.T + b`` with W of shape (out, in)."""
 
@@ -81,6 +102,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
         self.in_features = in_features
         self.out_features = out_features
+        self._weight_t = ContiguousTranspose()
 
     def __call__(self, x: Tensor) -> Tensor:
         # Flatten batch dims so the matmul is a single 2-D BLAS gemm
@@ -96,11 +118,20 @@ class Linear(Module):
         return out
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        """Fast inference path bypassing the tape."""
+        """Fast inference path bypassing the tape.
+
+        The GEMM reads a C-contiguous ``(in, out)`` copy of the weight
+        instead of the F-contiguous view ``W.T``: at this repo's small
+        shapes OpenBLAS takes a much slower kernel on the transposed
+        layout (3-4x for an 8-row ``64 → 192`` projection).  The copy is
+        rebuilt whenever ``weight.data`` is a different array object —
+        every weight update here (``Adam.step``, ``load_state_dict``,
+        LoRA merging) rebinds ``.data`` rather than writing into it.
+        """
         batch_shape = x.shape[:-1]
-        out = x.reshape(-1, self.in_features) @ self.weight.data.T
+        out = x.reshape(-1, self.in_features) @ self._weight_t(self.weight)
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         return out.reshape(*batch_shape, self.out_features)
 
 
@@ -138,7 +169,23 @@ class LayerNorm(Module):
         return x.layer_norm(self.gamma, self.beta, eps=self.eps)
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        xhat = (x - mu) / np.sqrt(var + self.eps)
-        return xhat * self.gamma.data + self.beta.data
+        """Single-pass inference LayerNorm.
+
+        Runs the exact ufunc sequence ``x.mean`` and ``x.var`` run
+        internally (sum, divide by an ``intp`` count, centre, square,
+        sum, divide) without their Python wrappers, computing the mean
+        once and normalising the centred temporary in place.  The result
+        is bitwise equal to ``(x - mean) / sqrt(var + eps) * gamma +
+        beta`` for float32 and float64 input alike.
+        """
+        count = np.intp(x.shape[-1])
+        mu = np.add.reduce(x, axis=-1, keepdims=True)
+        np.true_divide(mu, count, out=mu, casting="unsafe")
+        xc = x - mu
+        var = np.add.reduce(np.square(xc), axis=-1, keepdims=True)
+        np.true_divide(var, count, out=var, casting="unsafe")
+        var += self.eps
+        xc /= np.sqrt(var, out=var)
+        xc *= self.gamma.data
+        xc += self.beta.data
+        return xc

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GenerationError, ModelError
-from .modules import Embedding, LayerNorm, Linear, Module
+from .modules import ContiguousTranspose, Embedding, LayerNorm, Linear, Module
 from .tensor import Tensor
 
 
@@ -175,8 +175,10 @@ class SelfAttention(Module):
         """Attention core of a packed varlen batch.
 
         ``q`` is ``(1, H, T_total, Dh)`` with row ``i``'s query tokens at
-        ``[spans[i], spans[i+1])``.  The leading rows are *single-token*
-        (decode-shaped): their keys arrive stacked as ``ones_k``/
+        ``[spans[i], spans[i+1])``.  The leading ``n_ones`` rows are
+        *single-token* (decode-shaped), so they own packed positions
+        ``[0, n_ones)`` and their queries and outputs move by basic
+        slice, not by gather.  Their keys arrive stacked as ``ones_k``/
         ``ones_v`` — ``(n_ones, H, view, Dh)`` with ``key_mask`` hiding
         each row's columns past its own length — and the whole block
         runs one fused masked attention.  The remaining *chunk* rows run
@@ -191,7 +193,8 @@ class SelfAttention(Module):
         out = np.empty((1, n_heads, t_total, head_dim), dtype=np.float32)
         ones = 0 if ones_k is None else ones_k.shape[0]
         if ones:
-            q_ones = q[0, :, spans[:ones], :][:, :, None, :]  # (n1, H, 1, Dh)
+            # (n1, H, 1, Dh): decode rows own packed positions [0, n1).
+            q_ones = q[0, :, :ones, :].transpose(1, 0, 2)[:, :, None, :]
             scores = q_ones @ np.swapaxes(ones_k, -1, -2)
             scores *= scale32
             if key_mask is not None:
@@ -199,7 +202,7 @@ class SelfAttention(Module):
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
-            out[0, :, spans[:ones], :] = (scores @ ones_v)[:, :, 0, :]
+            out[0, :, :ones, :] = (scores @ ones_v)[:, :, 0, :].transpose(1, 0, 2)
         for row in range(ones, len(spans) - 1):
             s, e = int(spans[row]), int(spans[row + 1])
             valid = e - s
@@ -228,8 +231,18 @@ class MLP(Module):
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
         h = self.fc_in.forward_numpy(x)
+        # tanh-approximate GELU, in place on fc_in's fresh output, with
+        # the operation order of 0.5 * h * (1 + tanh(c * (h + 0.044715 * h^3))).
         c = np.float32(np.sqrt(2.0 / np.pi))
-        h = 0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * (h * h * h))))
+        u = h * h
+        u *= h
+        u *= 0.044715
+        u += h
+        u *= c
+        np.tanh(u, out=u)
+        u += 1.0
+        h *= 0.5
+        h *= u
         return self.fc_out.forward_numpy(h)
 
 
@@ -279,6 +292,9 @@ class TransformerLM(Module):
             np.full((config.max_seq_len, config.max_seq_len), -1e9, dtype=np.float32),
             k=1,
         )
+        #: The tied head's C-contiguous ``(D, V)`` copy of the token
+        #: embedding (see :meth:`Linear.forward_numpy` for why).
+        self._head_t = ContiguousTranspose()
 
     # -- training path -----------------------------------------------------------
     def forward(self, idx: np.ndarray) -> Tensor:
@@ -374,7 +390,7 @@ class TransformerLM(Module):
             x = x[:, logit_positions, :]
         x = self.ln_f.forward_numpy(x)
         if self.head is None:
-            return x @ self.tok_emb.weight.data.T
+            return x @ self._head_t(self.tok_emb.weight)
         return self.head.forward_numpy(x)
 
     def generate(
@@ -397,6 +413,7 @@ class TransformerLM(Module):
         """
         if not prompt_ids:
             raise GenerationError("prompt must contain at least one token")
+        self.check_token_ids(prompt_ids, "prompt")
         if top_k is not None and rng is None:
             raise GenerationError("top_k sampling requires an rng")
         if logit_bias is not None and logit_bias.shape != (self.config.vocab_size,):
@@ -430,6 +447,20 @@ class TransformerLM(Module):
             offset += 1
         return produced
 
+    def check_token_ids(self, ids, what: str) -> None:
+        """Raise :class:`GenerationError` unless every id is in ``[0, V)``.
+
+        The inference forward indexes the embedding table directly, so
+        an out-of-range id would wrap (negative) or raise a raw
+        ``IndexError`` mid-step; callers check once at intake instead.
+        """
+        vocab = self.config.vocab_size
+        if len(ids) and (min(ids) < 0 or max(ids) >= vocab):
+            raise GenerationError(
+                f"{what} token ids must lie in [0, {vocab}); "
+                f"got min {min(ids)}, max {max(ids)}"
+            )
+
     def logits_numpy(self, idx: np.ndarray) -> np.ndarray:
         """Full-sequence logits on the inference path (no cache)."""
         return self._forward_numpy(np.asarray(idx), caches=None)
@@ -460,6 +491,8 @@ class TransformerLM(Module):
             raise GenerationError("scoring needs a non-empty prompt")
         if not completion_ids:
             raise GenerationError("scoring needs a non-empty completion")
+        self.check_token_ids(prompt_ids, "prompt")
+        self.check_token_ids(completion_ids, "completion")
         tokens = list(prompt_ids) + list(completion_ids)
         if len(tokens) > self.config.max_seq_len:
             raise GenerationError(

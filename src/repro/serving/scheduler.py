@@ -36,6 +36,16 @@ from typing import Callable
 from ..nn.decoding import BatchedEngine, GenerationRequest, ScoringRequest
 from .metrics import ServingMetrics
 
+#: Minimum spacing of a streaming job's incremental token deliveries.
+#: Each delivery can wake the job's consumer thread, and that wake-up
+#: competes with the engine step for the interpreter lock; a one-token
+#: delivery every ~1 ms step made streamed decode ~11% slower than plain
+#: on a 2-core host.  Tokens produced between deliveries coalesce into
+#: the next one, so a consumer sees at most 100 token events a second;
+#: the first delivery and the final flush before completion are never
+#: held back, so time to first token and completion are unaffected.
+TOKEN_DELIVERY_INTERVAL_S = 0.01
+
 
 @dataclass
 class EngineJob:
@@ -57,10 +67,11 @@ class EngineJob:
     ``priority`` (lower value = more urgent) is stamped onto the engine
     request at submit so the engine's pending heap, parked fleet, and
     preemption policy all order by the same class.  ``on_token``
-    (optional) makes the job *streaming*: every pump delivers the
-    tokens produced since the last delivery, so a client observes
-    incremental progress — and a preemption as a stall-and-resume —
-    instead of one terminal burst.
+    (optional) makes the job *streaming*: a pump delivers the tokens
+    produced since the last delivery — the first as soon as it exists,
+    later ones at most every :data:`TOKEN_DELIVERY_INTERVAL_S` — so a
+    client observes incremental progress (and a preemption as a
+    stall-and-resume) instead of one terminal burst.
     """
 
     request: GenerationRequest | ScoringRequest
@@ -70,6 +81,7 @@ class EngineJob:
     priority: int = 0
     on_token: Callable[[list[int]], None] | None = None
     _sent: int = 0
+    _next_delivery: float = 0.0
     _terminal: bool = False
 
     def resolve_done(self, tokens) -> bool:
@@ -242,10 +254,12 @@ class StreamingScheduler:
                 # first failure to the pump driver.
                 if first_error is None:
                     first_error = exc
+        now = time.monotonic()
         for seq_id, job in self._jobs.items():
             # Incremental delivery for still-running streaming jobs: the
-            # tokens this step produced go out now, not at completion.
-            if job.on_token is None:
+            # tokens produced since the last delivery go out now, not at
+            # completion, once the delivery interval has passed.
+            if job.on_token is None or now < job._next_delivery:
                 continue
             produced = self.engine.produced_so_far(seq_id)
             if produced is not None and len(produced) > job._sent:
@@ -255,6 +269,7 @@ class StreamingScheduler:
                     if first_error is None:
                         first_error = exc
                 job._sent = len(produced)
+                job._next_delivery = now + TOKEN_DELIVERY_INTERVAL_S
         if first_error is not None:
             raise first_error
         return completed

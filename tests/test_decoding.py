@@ -134,6 +134,35 @@ def test_engine_failed_generate_leaves_no_residue(model):
     assert engine.generate([good]) == [model.generate([5, 6, 7], 6, eos_id=2)]
 
 
+@pytest.mark.parametrize("bad_id", [-1, 197])
+def test_engine_rejects_out_of_vocab_ids_at_intake(model, bad_id):
+    """Ids outside [0, vocab) fail typed at submit, never mid-step: a
+    negative id must not wrap and id == vocab must not raise IndexError
+    after admission, stranding the batchmates admitted with it."""
+    engine = BatchedEngine(model, max_batch=2)
+    mate = engine.submit(GenerationRequest([1, 3], 8, eos_id=2))
+    with pytest.raises(GenerationError, match="token ids"):
+        engine.submit(GenerationRequest([bad_id, 3, 4], 8, eos_id=2))
+    assert engine.n_pending == 1
+    done = {}
+    while engine.has_work:
+        engine.step()
+        done.update(engine.collect())
+    assert done == {mate: model.generate([1, 3], 8, eos_id=2)}
+    assert engine.kv_stats()["reserved_pages"] == 0
+    with pytest.raises(GenerationError, match="token ids"):
+        engine.generate([GenerationRequest([5, 6], 4), GenerationRequest([bad_id], 4)])
+    assert not engine.has_work
+    with pytest.raises(GenerationError, match="token ids"):
+        model.generate([bad_id, 3, 4], 4)
+
+
+def test_engine_accepts_both_ends_of_vocab(model):
+    prompt = [0, 5, 196]
+    got = BatchedEngine(model, max_batch=2).generate([GenerationRequest(prompt, 6)])
+    assert got == [model.generate(prompt, 6)]
+
+
 def test_engine_more_requests_than_slots_preserves_order(model):
     rng = np.random.default_rng(5)
     prompts = [list(rng.integers(5, 197, size=3 + i)) for i in range(17)]

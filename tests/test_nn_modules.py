@@ -79,6 +79,127 @@ def test_layernorm_normalises(rng):
     assert np.allclose(out.std(axis=-1), 1.0, atol=1e-2)
 
 
+# -- inference kernels ---------------------------------------------------------
+
+
+def _two_pass_layernorm(ln, x):
+    """The reference formula LayerNorm.forward_numpy must reproduce bitwise."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    xhat = (x - mu) / np.sqrt(var + ln.eps)
+    return xhat * ln.gamma.data + ln.beta.data
+
+
+def _one_line_gelu(h):
+    c = np.float32(np.sqrt(2.0 / np.pi))
+    return 0.5 * h * (1.0 + np.tanh(c * (h + 0.044715 * (h * h * h))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d_model", [32, 48, 64, 80])
+def test_layernorm_single_pass_is_bitwise_two_pass(d_model, dtype):
+    rng = np.random.default_rng(d_model)
+    ln = LayerNorm(d_model)
+    ln.gamma.data = rng.normal(1.0, 0.3, size=d_model).astype(np.float32)
+    ln.beta.data = rng.normal(0.0, 0.3, size=d_model).astype(np.float32)
+    for rows in (1, 8, 300):
+        x = rng.normal(0.5, 2.0, size=(1, rows, d_model)).astype(dtype)
+        for view in (x, x[:, ::2, :]):
+            got = ln.forward_numpy(view)
+            expected = _two_pass_layernorm(ln, view)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mlp_gelu_is_bitwise_one_line_expression(tiny_model, dtype):
+    mlp = tiny_model.blocks[0].mlp
+    x = np.random.default_rng(3).normal(0.0, 2.0, size=(2, 9, 16)).astype(dtype)
+    expected = mlp.fc_out.forward_numpy(_one_line_gelu(mlp.fc_in.forward_numpy(x)))
+    assert mlp.forward_numpy(x).tobytes() == expected.tobytes()
+
+
+def _fresh_linear(layer, x):
+    out = x @ np.ascontiguousarray(layer.weight.data.T)
+    if layer.bias is not None:
+        out = out + layer.bias.data
+    return out
+
+
+def _fresh_tied_logits(model, idx):
+    """Trunk forward plus a head GEMM over a freshly transposed embedding."""
+    x = model.tok_emb.forward_numpy(idx) + model.pos_emb.forward_numpy(
+        np.arange(idx.shape[1])
+    )
+    for block in model.blocks:
+        x = block.forward_numpy(x, None, None, model._causal_mask)
+    x = model.ln_f.forward_numpy(x)
+    return x @ np.ascontiguousarray(model.tok_emb.weight.data.T)
+
+
+def _assert_follows_weights(model, idx):
+    rng = np.random.default_rng(5)
+    for block in model.blocks:
+        for layer in (block.attn.qkv, block.attn.proj, block.mlp.fc_in, block.mlp.fc_out):
+            x = rng.normal(size=(3, layer.in_features)).astype(np.float32)
+            assert layer.forward_numpy(x).tobytes() == _fresh_linear(layer, x).tobytes()
+    assert model.logits_numpy(idx).tobytes() == _fresh_tied_logits(model, idx).tobytes()
+
+
+def test_inference_weights_follow_adam_step(tiny_model, rng):
+    idx = rng.integers(1, 40, size=(1, 8))
+    before = tiny_model.logits_numpy(idx)
+    opt = Adam(tiny_model.parameters(), lr=1e-2)
+    tiny_model.loss(idx, np.roll(idx, -1, axis=1), np.ones(idx.shape)).backward()
+    opt.step()
+    assert not np.array_equal(before, tiny_model.logits_numpy(idx))
+    _assert_follows_weights(tiny_model, idx)
+
+
+def test_inference_weights_follow_load_state_dict_and_clone(tiny_model, rng):
+    idx = rng.integers(1, 40, size=(1, 8))
+    _assert_follows_weights(tiny_model, idx)
+    twin = tiny_model.clone()
+    _assert_follows_weights(twin, idx)
+    state = {
+        name: value + rng.normal(0, 0.05, size=value.shape).astype(np.float32)
+        for name, value in tiny_model.state_dict().items()
+    }
+    tiny_model.load_state_dict(state)
+    _assert_follows_weights(tiny_model, idx)
+    assert not np.array_equal(tiny_model.logits_numpy(idx), twin.logits_numpy(idx))
+    _assert_follows_weights(twin, idx)
+
+
+def test_inference_weights_follow_merge_lora(tiny_model, rng):
+    idx = rng.integers(1, 40, size=(1, 8))
+    _assert_follows_weights(tiny_model, idx)
+    apply_lora(tiny_model, rank=4, alpha=8, rng=rng)
+    for p in lora_parameters(tiny_model):
+        p.data = rng.normal(0, 0.05, size=p.data.shape).astype(np.float32)
+    merge_lora(tiny_model)
+    _assert_follows_weights(tiny_model, idx)
+
+
+def test_forward_numpy_never_mutates_its_input(tiny_model, rng):
+    x = rng.normal(size=(2, 5, 16)).astype(np.float32)
+    block = tiny_model.blocks[0]
+    calls = [
+        (block.ln1.forward_numpy, (x,)),
+        (block.attn.qkv.forward_numpy, (x,)),
+        (block.mlp.forward_numpy, (x,)),
+        (lambda a: block.attn.forward_numpy(a, None), (x,)),
+        (lambda a: block.forward_numpy(a, None), (x,)),
+        (tiny_model.tok_emb.forward_numpy, (rng.integers(0, 40, size=(2, 5)),)),
+        (tiny_model.logits_numpy, (rng.integers(0, 40, size=(2, 5)),)),
+    ]
+    for fn, args in calls:
+        snapshot = [a.copy() for a in args]
+        fn(*args)
+        for a, before in zip(args, snapshot):
+            assert a.tobytes() == before.tobytes()
+
+
 # -- transformer ---------------------------------------------------------------
 
 

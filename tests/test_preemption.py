@@ -534,6 +534,10 @@ def test_fault_plan_stream_reset_tears_stream_and_server_recovers(
         },
     )
     pair = dataset[8]
+    # The server notices the tear on its second token write after it, so
+    # the decode must outlast a few token deliveries past byte 400: a
+    # 150-token budget instead of 72 keeps it running long after that.
+    coach = CoachLM(coach.model, coach.tokenizer, max_new_tokens=150)
     server = RevisionServer(coach, ServingConfig(max_batch=2))
     with RevisionHTTPFrontend(server) as frontend:
         host, port = frontend.httpd.server_address[:2]

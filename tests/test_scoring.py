@@ -223,6 +223,26 @@ def test_engine_score_cancel_and_validation(engine_model):
         engine.submit_score(ScoringRequest(list(range(1, 64)), [1, 2, 3]))
 
 
+@pytest.mark.parametrize("bad_id", [-1, 131])
+def test_scoring_rejects_out_of_vocab_ids(engine_model, bad_id):
+    """Out-of-range ids fail typed at intake on both the reference and
+    the engine — in the prompt or the completion — while the in-range
+    extremes 0 and V-1 still score bitwise equal to the reference."""
+    engine = BatchedEngine(engine_model, max_batch=2)
+    for prompt, completion in (([bad_id, 5], [6]), ([5, 6], [7, bad_id])):
+        with pytest.raises(GenerationError, match="token ids"):
+            engine_model.sequence_logprobs(prompt, completion)
+        with pytest.raises(GenerationError, match="token ids"):
+            engine.submit_score(ScoringRequest(prompt, completion))
+        with pytest.raises(GenerationError, match="token ids"):
+            engine.score([ScoringRequest([5], [6]), ScoringRequest(prompt, completion)])
+    assert not engine.has_work
+    edge = ScoringRequest([0, 130], [130, 0])
+    (score,) = engine.score([edge])
+    expected = engine_model.sequence_logprobs(edge.prompt_ids, edge.completion_ids)
+    assert score.token_logprobs.tobytes() == expected.tobytes()
+
+
 # -- IFD --------------------------------------------------------------------------
 
 
