@@ -49,8 +49,7 @@
 # tracing on (perfbench/run.py --seconds 2 --trace 1) under a hard
 # timeout and fails unless its last output line reports
 # "correct": true — a renamed layer the tracer wraps (MissingTarget) or
-# a broken output check fails here before the benchmark runs.  Knob:
-#   REPRO_PERFBENCH_TIMEOUT_S wall-clock guard per workload (default 300)
+# a broken output check fails here before the benchmark runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -107,8 +106,7 @@ timeout --signal=TERM --kill-after=30 "${REPRO_NETWORK_TIMEOUT_S:-600}" \
 
 echo "== perfbench smoke: every workload traced, outputs checked =="
 for workload in offline_clean online_mixed http_fleet; do
-    if ! out=$(timeout --signal=TERM --kill-after=30 \
-            "${REPRO_PERFBENCH_TIMEOUT_S:-300}" \
+    if ! out=$(timeout --signal=TERM --kill-after=30 300 \
             python3 perfbench/run.py --workload "$workload" --seed 1 \
             --seconds 2 --trace 1); then
         echo "error: perfbench $workload failed or timed out" >&2

@@ -77,16 +77,20 @@ class ContiguousTranspose:
     (optimiser steps, state-dict loads, LoRA merges), never in place.
     """
 
-    __slots__ = ("_source", "_copy")
+    __slots__ = ("_cached",)
 
     def __init__(self):
-        self._source = self._copy = None
+        self._cached = None  # (source array, its contiguous transpose)
 
     def __call__(self, weight: Tensor) -> np.ndarray:
-        if weight.data is not self._source:
-            self._copy = np.ascontiguousarray(weight.data.T)
-            self._source = weight.data
-        return self._copy
+        # Read ``weight.data`` once and swap source and copy in as one
+        # pair, so a rebind from another thread can never leave a copy
+        # cached under a source it was not built from.
+        data = weight.data
+        cached = self._cached
+        if cached is None or cached[0] is not data:
+            cached = self._cached = (data, np.ascontiguousarray(data.T))
+        return cached[1]
 
 
 class Linear(Module):

@@ -15,6 +15,7 @@ import time
 import urllib.error
 import urllib.request
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from repro.serving import (
     SOURCE_SHED,
     StreamingScheduler,
 )
+from repro.serving import scheduler as scheduler_module
 from repro.serving.requests import RevisionResult
 from repro.textgen.responses import detokenize, ideal_response
 from repro.textgen.tasks import TaskInstance, render_instruction
@@ -247,6 +249,45 @@ def test_scheduler_reports_tokens_and_busy_time(coach):
     assert completed == 3
     assert metrics.engine_tokens == sum(len(tokens) for tokens in done) == 12
     assert metrics.engine_busy_s > 0
+
+
+def test_scheduler_paces_streamed_token_deliveries(coach, monkeypatch):
+    """A stream's first tokens go out at once; later ones coalesce until
+    ``TOKEN_DELIVERY_INTERVAL_S`` has passed; the rest are flushed just
+    before ``done``.  Every token is delivered exactly once, in order."""
+    clock = [100.0]
+    monkeypatch.setattr(
+        scheduler_module,
+        "time",
+        SimpleNamespace(monotonic=lambda: clock[0], perf_counter=time.perf_counter),
+    )
+    events: list[tuple[str, list[int]]] = []
+    prompt = list(np.random.default_rng(7).integers(5, 100, size=6))
+    scheduler = StreamingScheduler(BatchedEngine(coach.model, max_batch=1))
+    scheduler.submit(EngineJob(
+        GenerationRequest(prompt, 20, eos_id=None),
+        lambda tokens: events.append(("done", list(tokens))),
+        on_token=lambda delta: events.append(("token", list(delta))),
+    ))
+    while not events:
+        scheduler.pump()
+    assert events[0][0] == "token"
+
+    # The clock stands still: steps produce tokens, nothing is delivered.
+    for _ in range(4):
+        scheduler.pump()
+    assert len(events) == 1
+
+    # Once the interval has passed, one delivery carries every held token.
+    clock[0] += scheduler_module.TOKEN_DELIVERY_INTERVAL_S
+    scheduler.pump()
+    assert len(events) == 2 and len(events[1][1]) == 5
+
+    scheduler.drain()
+    kinds = [kind for kind, _ in events]
+    assert kinds == ["token", "token", "token", "done"]
+    streamed = [tok for kind, delta in events if kind == "token" for tok in delta]
+    assert streamed == events[-1][1] and len(streamed) == 20
 
 
 # -- engine streaming edge cases the scheduler depends on --------------------------
