@@ -256,28 +256,36 @@ def _poisson_load(coach: CoachLM, pairs: list, rate_per_s: float, seed: int):
 
 
 def _saturated_vs_reference(
-    coach: CoachLM, pairs: list, rate_per_s: float, seed: int, rounds: int = 5
-) -> tuple[dict, float]:
-    """Best saturated trial and best offline batch-8 run, interleaved.
+    coach: CoachLM, pairs: list, rate_per_s: float, seed: int, rounds: int = 11
+) -> dict:
+    """Saturated trials paired round by round with offline batch-8 runs.
 
-    Each side's trial lasts about 0.1 s, and the host's speed drifts by
-    more than the gate's 10% margin over a few seconds, so the two sides
-    alternate round by round: a slow phase lands on both instead of
-    deciding the ratio.  Returns ``(best trial's stats, best reference
-    tok/s)``; the trial keeps its own latencies.
+    Each side's trial lasts about 0.2 s, and a busy host stalls single
+    engine steps for tens of milliseconds in bursts, so the two sides
+    alternate round by round (which side goes first alternates too) and
+    each round yields one paired saturated/reference ratio: a slow phase
+    moves both sides of the same ratio instead of deciding it.  The gate
+    judges the median of the ratios, never a best run of one side
+    against a best run of the other from a different round.  Returns the
+    median round's trial stats (its own latencies included) plus its
+    reference tok/s, every round's ratio, and the median ratio.
     """
-    best = None
-    best_ref = 0.0
+    trials = []
     for trial in range(rounds):
-        best_ref = max(best_ref, _batch8_reference(coach, pairs, runs=1)[0])
-        stats = _poisson_load(coach, pairs, rate_per_s, seed + trial)
-        if (
-            best is None
-            or stats["sustained_tokens_per_sec"]
-            > best["sustained_tokens_per_sec"]
-        ):
-            best = stats
-    return best, best_ref
+        if trial % 2:
+            stats = _poisson_load(coach, pairs, rate_per_s, seed + trial)
+            reference = _batch8_reference(coach, pairs, runs=1)[0]
+        else:
+            reference = _batch8_reference(coach, pairs, runs=1)[0]
+            stats = _poisson_load(coach, pairs, rate_per_s, seed + trial)
+        trials.append((stats["sustained_tokens_per_sec"] / reference, reference, stats))
+    ratio, reference, stats = sorted(trials, key=lambda t: t[0])[rounds // 2]
+    return {
+        **stats,
+        "reference_tokens_per_sec": round(reference, 1),
+        "round_ratios": [round(t[0], 3) for t in trials],
+        "median_ratio": round(ratio, 3),
+    }
 
 
 def _dedup_pass(coach: CoachLM, pairs: list) -> dict:
@@ -315,8 +323,8 @@ def test_serving_sustains_batched_throughput(wb):
         if multiplier == max(LOAD_MULTIPLIERS):
             # Only the saturated point feeds the reference ratio; the
             # under-subscribed point is latency-shaped.
-            sweep[f"{multiplier}x"], ref_tokens_per_sec = (
-                _saturated_vs_reference(coach, pairs, rate, seed)
+            sweep[f"{multiplier}x"] = _saturated_vs_reference(
+                coach, pairs, rate, seed
             )
         else:
             sweep[f"{multiplier}x"] = _poisson_load(coach, pairs, rate, seed)
@@ -340,11 +348,9 @@ def test_serving_sustains_batched_throughput(wb):
         # engine's only layout); the ratio prices in chunked refill and
         # the serving layer, not the KV layout.
         "kv_page_tokens": SERVING_CONFIG.kv_page_tokens,
-        "reference_batch8_tokens_per_sec": round(ref_tokens_per_sec, 1),
+        "reference_batch8_tokens_per_sec": saturated["reference_tokens_per_sec"],
         "arrival_sweep": sweep,
-        "saturated_vs_batch8": round(
-            saturated["sustained_tokens_per_sec"] / ref_tokens_per_sec, 3
-        ),
+        "saturated_vs_batch8": saturated["median_ratio"],
         "dedup": dedup,
         "long_prompt_stall": stall,
         "late_arrival_admission": admission,
@@ -361,6 +367,10 @@ def test_serving_sustains_batched_throughput(wb):
             f"p95 {1000 * stats['p95_latency_s']:.0f} ms, "
             f"sustained {stats['sustained_tokens_per_sec']:.0f} tok/s"
         )
+    print(
+        f"saturated vs offline batch-{MAX_BATCH}: median paired ratio "
+        f"{saturated['median_ratio']:.3f} (rounds {saturated['round_ratios']})"
+    )
     print(
         f"dedup pass: {dedup['repeats']} repeats served from cache, "
         f"{dedup['engine_tokens_saved']} engine tokens saved"
@@ -382,11 +392,10 @@ def test_serving_sustains_batched_throughput(wb):
     # Under saturating Poisson load the streaming scheduler must stay
     # close to the *unchunked* offline batch-8 throughput — the ratio
     # prices in chunked prefill interleaving (the serving default); the
-    # long-prompt stall numbers are what that cost buys.  The JSON
-    # records the exact ratio (~0.96-0.99 on the packed forward).
-    assert saturated["sustained_tokens_per_sec"] >= 0.9 * ref_tokens_per_sec, (
-        payload
-    )
+    # long-prompt stall numbers are what that cost buys.  The gate judges
+    # the median of the paired per-round ratios; the JSON records every
+    # round's ratio next to it.
+    assert saturated["median_ratio"] >= 0.9, payload
     # Chunking must deliver the thing it costs throughput for: a long
     # prompt joining a busy fleet may never stall in-flight decodes for
     # anything close to a whole prompt-length forward pass.

@@ -280,7 +280,8 @@ def _kv_memory_stage(model, prompts) -> dict:
     size of per-slot full-context slabs, ``2 × n_layers × max_batch ×
     max_seq_len × d_model`` float32 bytes; the pool holds the pages of
     the sequences actually alive (plus its attention mirror, counted).
-    Tokens must match the sequential path exactly.
+    The peaks are the pool's own high-water marks, not samples taken
+    between steps.  Tokens must match the sequential path exactly.
     """
     max_batch = 2 * BATCH_SIZES[0]
     cfg = model.config
@@ -292,8 +293,6 @@ def _kv_memory_stage(model, prompts) -> dict:
     results: dict[int, list[int]] = {}
     ids: list[int] = []
     pending = list(prompts)
-    peak_resident = 0
-    peak_pages = 0
     while pending or engine.has_work:
         if pending:
             ids.append(
@@ -304,10 +303,10 @@ def _kv_memory_stage(model, prompts) -> dict:
         for _ in range(4):
             engine.step()
             results.update(engine.collect())
-        stats = engine.kv_stats()
-        peak_resident = max(peak_resident, stats["resident_kv_bytes"])
-        peak_pages = max(peak_pages, stats["pages_in_use"])
     results.update(engine.collect())
+    stats = engine.kv_stats()
+    peak_resident = stats["peak_resident_kv_bytes"]
+    peak_pages = stats["peak_pages_in_use"]
     assert [results[i] for i in ids] == expected, "paged KV changed decoded tokens"
     return {
         "n_sequences": len(prompts),

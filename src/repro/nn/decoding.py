@@ -32,12 +32,40 @@ carries both:
    of serializing behind one admission slot.  A row that consumed its
    last prompt token joins the decode fleet and selects its first token
    from this forward's last-token logits.
-2. **Decode rows** — every active sequence feeds one token, its last
-   produced, at depth ``lengths[b]``; the single-token rows share one
-   fused masked sub-attention over a stacked KV view.  Token selection
-   is vectorised: one batched ``argmax`` plus vectorised EOS/budget
-   masks, with per-row handling only for slots carrying a
-   ``step_bias`` hook or a ``top_k`` sampler.
+2. **Decode rows** — every active sequence feeds ``q`` tokens at
+   depths ``lengths[b] .. lengths[b] + q - 1``: its last produced token,
+   then ``q - 1`` tokens *drafted* by prompt lookup (see below).  The
+   decode rows share one fused masked sub-attention over a stacked KV
+   view, with query ``i`` of row ``b`` seeing columns up to
+   ``lengths[b] + i``; plain one-token decode is ``q = 1`` of the same
+   code.  Token selection verifies the drafts: one batched ``argmax``
+   over every decode position, and each row keeps the longest prefix
+   greedy selection agrees with, plus one bonus token — with per-row,
+   per-position handling only for slots carrying a ``step_bias`` hook
+   or a ``top_k`` sampler.
+
+Speculative decoding
+~~~~~~~~~~~~~~~~~~~~
+
+A coach revision is mostly a copy of its input, so the continuation of
+a sequence is usually already written somewhere in its own prompt or
+output.  Each greedy decode row carries a prompt-lookup drafter
+(:class:`_PromptLookup`, reference-copy decoding in the style of LLMA,
+arXiv 2304.04487): it copies up to :data:`_DRAFT_TOKENS` tokens from
+where the row's last bigram (falling back to its last token) occurred
+before.  The drafts are verified inside the step's one packed forward
+— the same forward plain decode runs, with ``q`` query positions per
+row instead of one (speculative decoding, arXiv 2211.17192).  Position
+``i`` is accepted only if every earlier position matched its draft, so
+a row's hooks see exactly the sequential ``produced`` list and greedy
+output is token-identical by construction.  ``q`` is uniform per step
+and clipped so every write stays inside the row's reserved page quota
+and below ``max_seq_len``; a row with fewer drafted tokens feeds filler
+that verification simply does not keep.  Sampled (``top_k``) rows keep
+exactly one token per step, drawn from position 0, so their rng
+streams stay draw-for-draw equal to :meth:`TransformerLM.generate`.
+Columns written for rejected tokens stay masked until the next step
+overwrites them; they are never registered in the prefix index.
 
 A sequence that hits EOS (or its token budget) retires immediately and
 its slot is compacted away (swap-with-last), so stragglers never pay
@@ -73,7 +101,8 @@ page per sequence (``kv_page_tokens = max_seq_len``).
 
 * **Streaming intake.**  The same machinery is exposed incrementally —
   ``submit()`` enqueues a request at any time, ``step()`` advances the
-  fleet one token, ``collect()`` drains finished results — so callers
+  fleet one verify step (one or more tokens per row), ``collect()``
+  drains finished results — so callers
   serving requests that arrive over time (:mod:`repro.serving`) can slip
   new work into retiring slots mid-flight; ``generate()`` is the
   run-to-completion loop layered on top.
@@ -115,6 +144,9 @@ from .transformer import TransformerLM, _sample_top_k
 
 #: Additive mask value for invalid key slots (matches the causal mask).
 _NEG_INF = np.float32(-1e9)
+
+#: Most tokens a greedy decode row drafts per step (``q - 1``).
+_DRAFT_TOKENS = 3
 
 
 @dataclass
@@ -272,6 +304,55 @@ class InductionCopyBias:
             logits_row[followers] += self._half
 
 
+class _PromptLookup:
+    """Prompt-lookup drafter over one sequence's prompt + produced tokens.
+
+    ``bigram[(a, b)]`` / ``unigram[b]`` hold the index of the token that
+    followed the most recent earlier occurrence of that bigram / token.
+    Both are updated as tokens are appended — O(1) per token, no scan
+    per step.  A draft copies ``k`` tokens starting at the last bigram's
+    follower, else the last token's, else the last token itself; a copy
+    that runs past the end continues from its own drafted tokens, so a
+    repeating span keeps being predicted.
+    """
+
+    __slots__ = ("tokens", "n_prompt", "bigram", "unigram")
+
+    def __init__(self, prompt: list[int]):
+        self.tokens: list[int] = []
+        self.n_prompt = len(prompt)
+        self.bigram: dict[tuple[int, int], int] = {}
+        self.unigram: dict[int, int] = {}
+        self._extend(prompt)
+
+    def _extend(self, new: list[int]) -> None:
+        tokens, bigram, unigram = self.tokens, self.bigram, self.unigram
+        for token in new:
+            n = len(tokens)
+            if n:
+                last = tokens[-1]
+                unigram[last] = n
+                if n > 1:
+                    bigram[(tokens[-2], last)] = n
+            tokens.append(token)
+
+    def draft(self, produced: list[int], k: int) -> list[int]:
+        """Index the tokens produced since the last call; draft ``k``."""
+        tokens = self.tokens
+        seen = len(tokens) - self.n_prompt
+        if seen < len(produced):
+            self._extend(produced[seen:])
+        n = len(tokens)
+        at = self.bigram.get((tokens[-2], tokens[-1])) if n > 1 else None
+        if at is None:
+            at = self.unigram.get(tokens[-1], n - 1)
+        out: list[int] = []
+        for i in range(k):
+            p = at + i
+            out.append(tokens[p] if p < n else out[p - n])
+        return out
+
+
 class _RadixNode:
     """One full page of token ids in the prefix-cache radix index.
 
@@ -321,8 +402,8 @@ class PagedKVCaches:
     Attention never reads the pages directly: a contiguous per-slot
     **mirror** — allocated lazily to the *live* fleet's peak rows × peak
     view, not to ``max_batch × max_seq_len`` — shadows each row's page
-    prefix, so the hot decode path writes one column to pages + mirror
-    and attends over copy-free mirror views.
+    prefix, so the hot decode path writes its ``q`` columns to pages +
+    mirror and attends over copy-free mirror views.
     The mirror is pure cache: ``_mirror_len[row]`` tracks its valid
     prefix, compaction invalidates moved rows instead of copying bytes,
     and the next step lazily re-gathers an invalidated row's
@@ -895,18 +976,21 @@ class PagedKVCaches:
     # -- the packed forward ------------------------------------------------------
     def packed_adapters(
         self, first: int, starts: np.ndarray, ends: np.ndarray,
-        spans: np.ndarray, n_ones: int,
+        spans: np.ndarray, n_decode: int,
     ) -> list["_PackedPagedSlots"]:
         """Per-layer adapters for one packed varlen forward.
 
         Row ``i`` is slot ``first + i``: its new tokens occupy the packed
         token axis ``[spans[i], spans[i+1])`` and land in the slot's
-        columns ``[starts[i], ends[i])``.  The first ``n_ones`` rows are
-        single-token (decode-shaped), own packed positions ``[0, n_ones)``,
+        columns ``[starts[i], ends[i])``.  The first ``n_decode`` rows
+        are decode rows of one common length ``q = ends[0] - starts[0]``
+        (the last produced token plus ``q - 1`` drafted ones; ``q = 1``
+        is plain decode): they own packed positions ``[0, n_decode·q)``
         and scatter with one fancy-index store per layer instead of a
         per-row loop.  Everything the layers share — write columns,
         catch-up gathers, per-row extents — is planned here once, so the
-        per-step Python cost is O(rows).
+        per-step Python cost is O(rows·q).  Copy-on-write covers each
+        row's whole write range, drafted columns included.
         """
         n = len(starts)
         p = self.page_tokens
@@ -916,21 +1000,24 @@ class PagedKVCaches:
             self._prepare_write(slot, start, end)
         self._ensure_mirror(first + n, max(end_list))
         ones = None
-        if n_ones:
+        if n_decode:
+            per = end_list[0] - start_list[0]
+            tables = self.tables
             one_cols = np.asarray(
                 [
-                    self.tables[first + i][t // p] * p + t % p
-                    for i, t in enumerate(start_list[:n_ones])
+                    tables[first + i][t // p] * p + t % p
+                    for i, start in enumerate(start_list[:n_decode])
+                    for t in range(start, start + per)
                 ],
                 dtype=np.int64,
             )
             ones = (
-                n_ones,
+                n_decode * per,
                 one_cols,
-                np.arange(first, first + n_ones),
-                starts[:n_ones],
-                slice(first, first + n_ones),
-                max(end_list[:n_ones]),
+                np.repeat(np.arange(first, first + n_decode), per),
+                (starts[:n_decode, None] + np.arange(per)).ravel(),
+                slice(first, first + n_decode),
+                max(end_list[:n_decode]),
             )
         span_list = spans.tolist()
         chunks = [
@@ -939,13 +1026,27 @@ class PagedKVCaches:
                 start_list[i], end_list[i],
                 self._token_cols(first + i, start_list[i], end_list[i]),
             )
-            for i in range(n_ones, n)
+            for i in range(n_decode, n)
         ]
         catchups = self._mirror_plan(slots, start_list, end_list)
         return [
             _PackedPagedSlots(self, layer, ones, chunks, catchups)
             for layer in range(self.n_layers)
         ]
+
+    def advance(self, n_rows: int, accepted: np.ndarray) -> None:
+        """Grow decode rows ``[0, n_rows)`` by the tokens they kept.
+
+        A verify forward wrote ``q`` columns per decode row, of which
+        only the first ``accepted[r]`` hold tokens the sequence keeps.
+        The rest stay where they are — hidden by every later key mask
+        and overwritten by the next step's writes — and the mirror's
+        valid prefix is cut back to the row's length, so nothing past it
+        is ever read as valid.
+        """
+        lengths = self.lengths[:n_rows]
+        lengths += accepted
+        self._mirror_len[:n_rows] = lengths
 
     # -- accounting --------------------------------------------------------------
     def resident_bytes(self) -> int:
@@ -995,10 +1096,10 @@ class _PackedPagedSlots:
 
     Each row's new K/V (its packed segment) scatter into its block-table
     columns and its mirror row; lagging mirror rows catch up from their
-    pages first.  The decode-shaped rows come back as one stacked mirror
-    view for the fused masked sub-attention (the key mask hides columns
-    past each row's length); each chunk row comes back as its own
-    exact-prefix mirror view — no copies anywhere on the steady path.
+    pages first.  The decode rows come back as one stacked mirror view
+    for the fused masked sub-attention (the key mask hides, per query,
+    the columns past its own depth); each chunk row comes back as its
+    own exact-prefix mirror view — no copies anywhere on the steady path.
     """
 
     __slots__ = ("pool", "layer", "ones", "chunks", "catchups")
@@ -1014,13 +1115,14 @@ class _PackedPagedSlots:
         """Store this layer's new K/V and return the attention views.
 
         ``k``/``v`` are ``(1, H, T_total, Dh)`` in packed order.  Lagging
-        mirror rows catch up from their pages first.  The decode rows'
-        keys are the basic slice ``k[0, :, :n_ones]`` (they own packed
-        positions ``[0, n_ones)``); they scatter into their pool columns
-        and mirror positions and come back as one stacked ``(n_ones, H,
-        view, Dh)`` mirror view.  Each chunk row writes its segment and
-        comes back as its exact-prefix mirror view.  Returns ``(ones_k,
-        ones_v, keys, vals)``, the inputs of
+        mirror rows catch up from their pages first.  The ``n`` decode
+        rows of ``q`` tokens each own packed positions ``[0, n·q)``, so
+        their keys are the basic slice ``k[0, :, :n·q]``; all ``n·q``
+        columns scatter into the pool and the mirror in one store each,
+        and the rows come back as one stacked ``(n, H, view, Dh)``
+        mirror view.  Each chunk row writes its segment and comes back
+        as its exact-prefix mirror view.  Returns ``(ones_k, ones_v,
+        keys, vals)``, the inputs of
         :meth:`SelfAttention._packed_attention`.
         """
         pool = self.pool
@@ -1032,17 +1134,17 @@ class _PackedPagedSlots:
             mv[row, :, have : have + len(cols)] = pv[:, cols, :]
         ones_k = ones_v = None
         if self.ones is not None:
-            n, cols, rows, starts, block, view = self.ones
-            # Decode rows hold packed positions [0, n), so their K/V are
+            n, cols, rows, depths, block, view = self.ones
+            # Decode tokens hold packed positions [0, n), so their K/V are
             # the basic slice k[0, :, :n] — (H, n, Dh), the layout the
             # pool's column store expects; the mirror's (fancy, :, fancy)
-            # store is row-first, hence the transposed view.
+            # store is token-first, hence the transposed view.
             new_k = k[0, :, :n]
             new_v = v[0, :, :n]
             pk[:, cols, :] = new_k
             pv[:, cols, :] = new_v
-            mk[rows, :, starts] = new_k.transpose(1, 0, 2)
-            mv[rows, :, starts] = new_v.transpose(1, 0, 2)
+            mk[rows, :, depths] = new_k.transpose(1, 0, 2)
+            mv[rows, :, depths] = new_v.transpose(1, 0, 2)
             ones_k = mk[block, :, :view]
             ones_v = mv[block, :, :view]
         keys, vals = [], []
@@ -1081,6 +1183,9 @@ class _SlotState:
     #: Pages to re-reserve at resume (the worst-case remainder the
     #: preemption released back to the pool).
     suspend_reserve: int = 0
+    #: Prompt-lookup index of a greedy sequence, built at its first
+    #: draft and kept across preemption.
+    drafter: _PromptLookup | None = None
 
     @property
     def feed_ids(self) -> list[int]:
@@ -1105,15 +1210,17 @@ class BatchedEngine:
       :meth:`TransformerLM.generate` per request (greedy, or seeded
       top-k).
     * **Streaming** — :meth:`submit` enqueues one request and returns its
-      sequence id, :meth:`step` advances the whole fleet one token
-      (admitting pending requests into free slots first, so a request
-      submitted mid-flight joins the batch as soon as a slot retires
-      instead of waiting for the batch to drain), and :meth:`collect`
+      sequence id, :meth:`step` advances the whole fleet one verify step
+      — one token per row plus any drafted tokens it keeps — admitting
+      pending requests into free slots first, so a request submitted
+      mid-flight joins the batch as soon as a slot retires instead of
+      waiting for the batch to drain, and :meth:`collect`
       pops finished ``{seq_id: tokens}`` results.  This is the substrate
       of the online revision service (:mod:`repro.serving`).
 
     Every step runs one packed varlen forward whose rows are the decode
-    fleet (one token each) plus the parked prefill rows.
+    fleet (its last token plus drafted tokens to verify, see the module
+    docstring) plus the parked prefill rows.
     ``prefill_chunk_tokens`` bounds how much prefill work a single
     :meth:`step` may do while other slots are decoding: each refill
     prompt advances by at most one chunk per step, so in-flight decodes
@@ -1241,6 +1348,12 @@ class BatchedEngine:
         self.resumes = 0
         self.preempted_resident_tokens = 0
         self.stream_disconnects = 0
+        # Speculation observability (exported by kv_stats()): verify
+        # steps run, draft positions greedy rows could keep, and how many
+        # of them they kept.
+        self.decode_steps = 0
+        self.draft_tokens_proposed = 0
+        self.draft_tokens_accepted = 0
 
     # -- request intake ----------------------------------------------------------
     def _validate(self, request: GenerationRequest) -> None:
@@ -1588,6 +1701,9 @@ class BatchedEngine:
             "n_pending_scores": len(self._pending_scores),
             "n_preempted": len(self._preempted),
             "free_slots": max(self.free_capacity, 0),
+            "decode_steps": self.decode_steps,
+            "draft_tokens_proposed": self.draft_tokens_proposed,
+            "draft_tokens_accepted": self.draft_tokens_accepted,
             "preemption": {
                 "preemptions": self.preemptions,
                 "resumes": self.resumes,
@@ -1862,39 +1978,54 @@ class BatchedEngine:
         ]
 
     def _unified_forward(
-        self, plan: list[tuple[_SlotState, int]], n_decode: int
+        self, plan: list[tuple[_SlotState, int]], feed: np.ndarray | None
     ) -> np.ndarray:
         """One packed mixed-length varlen forward over decode AND prefill rows.
 
-        Row ``b < n_decode`` is decode slot ``b``: one query token (its
-        last produced) at depth ``lengths[b]``.  ``n_decode`` is either
-        the whole fleet or zero (a same-step refill prefills its parked
-        rows alone).  Row ``n_decode + i`` is parked slot ``n_active +
-        i`` advancing ``[prefilled, end)``.  All real tokens are
-        concatenated on one packed axis (``pack_spans``) — no pad
-        position ever enters a projection GEMM — and each row attends
-        over its whole written prefix.  Returns the ``(n_rows, V)``
-        float32 last-token logits; slot lengths and parked progress are
-        advanced in place.
+        ``feed`` is the decode fleet's ``(n_decode, q)`` token matrix
+        (see :meth:`_draft`): row ``b`` is decode slot ``b`` feeding its
+        last produced token and ``q - 1`` drafted ones at depths
+        ``lengths[b] .. lengths[b] + q - 1``.  ``feed`` is ``None`` for a
+        same-step refill, which prefills its parked rows alone.  Row
+        ``n_decode + i`` is parked slot ``n_active + i`` advancing
+        ``[prefilled, end)``.  All real tokens are concatenated on one
+        packed axis (``pack_spans``) — no pad position ever enters a
+        projection GEMM — and each row attends over its whole written
+        prefix.  Returns float32 logits ``(n_decode·q + len(plan), V)``:
+        every decode position in row-major order, then each prefill
+        row's last token.  Parked progress is advanced in place; decode
+        lengths advance in :meth:`_verify`, once acceptance is known.
         """
-        caches, slots = self._caches, self._slots
+        caches = self._caches
+        n_decode, per = (0, 0) if feed is None else feed.shape
         n_rows = n_decode + len(plan)
         starts = np.empty(n_rows, dtype=np.int64)
         ends = np.empty(n_rows, dtype=np.int64)
         starts[:n_decode] = caches.lengths[:n_decode]
-        ends[:n_decode] = starts[:n_decode] + 1
+        ends[:n_decode] = starts[:n_decode] + per
         for i, (state, end) in enumerate(plan):
             starts[n_decode + i] = state.prefilled
             ends[n_decode + i] = end
         spans = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(ends - starts, out=spans[1:])
         total = int(spans[-1])
+        width = n_decode * per
         idx = np.empty((1, total), dtype=np.int64)
         positions = np.empty((1, total), dtype=np.int64)
+        key_mask = None
         if n_decode:
-            at = spans[:n_decode]
-            idx[0, at] = [slots[b].produced[-1] for b in range(n_decode)]
-            positions[0, at] = starts[:n_decode]
+            depths = starts[:n_decode, None] + np.arange(per)
+            idx[0, :width] = feed.ravel()
+            positions[0, :width] = depths.ravel()
+            # The decode rows run as one fused masked sub-attention over
+            # their stacked view: query i of row b sees columns
+            # c <= starts[b] + i (its own token and everything before).
+            view = int(ends[:n_decode].max())
+            key_mask = np.where(
+                np.arange(view) <= depths[:, :, None],
+                np.float32(0.0),
+                _NEG_INF,
+            )[:, None]
         for i, (state, end) in enumerate(plan):
             start = state.prefilled
             s, e = int(spans[n_decode + i]), int(spans[n_decode + i + 1])
@@ -1903,17 +2034,6 @@ class BatchedEngine:
             self.total_prompt_tokens_prefilled += max(
                 0, min(end, len(state.request.prompt_ids)) - start
             )
-        key_mask = None
-        if n_decode:
-            # The decode rows run as one fused masked sub-attention, so
-            # they need an additive key mask over their stacked view
-            # (column `starts[b]` is row b's new token).
-            view = int(ends[:n_decode].max())
-            key_mask = np.where(
-                np.arange(view)[None, :] <= starts[:n_decode, None],
-                np.float32(0.0),
-                _NEG_INF,
-            )[:, None, None, :]
         logits = self.model._forward_numpy(
             idx,
             caches.packed_adapters(
@@ -1922,11 +2042,133 @@ class BatchedEngine:
             token_positions=positions,
             key_mask=key_mask,
             pack_spans=spans,
+            logit_positions=np.concatenate(
+                (np.arange(width), spans[n_decode + 1 :] - 1)
+            ),
         )[0]
-        caches.lengths[:n_decode] += 1
         for state, end in plan:
             state.prefilled = end
         return logits
+
+    # -- speculative decode: draft and verify ------------------------------------
+    def _draft(self) -> np.ndarray:
+        """The decode fleet's feed for this step: ``(n_active, q)`` tokens.
+
+        Column 0 is each row's last produced token; columns ``1..q-1``
+        are its prompt-lookup draft (filler for sampled rows, which keep
+        one token per step).  ``q = min(1 + _DRAFT_TOKENS, min_b(cap_b −
+        lengths[b]))``, where ``cap_b`` is the columns of row ``b``'s
+        reserved quota ``pages_for(prompt + budget)``, capped at
+        ``max_seq_len``: every write stays inside the quota and every
+        position inside the context.  ``cap_b − lengths[b] ≥ budget_b −
+        count_b + 1 ≥ 2``, so a row can always verify at least one draft
+        past its next token; acceptance stops at the budget.
+        """
+        n = self._n_active
+        slots = self._slots
+        caches = self._caches
+        lengths = caches.lengths[:n]
+        # An active row holds prompt + count - 1 columns.
+        quota_tokens = lengths - self._count[:n] + 1 + self._budget[:n]
+        p = caches.page_tokens
+        cap = np.minimum(-(-quota_tokens // p) * p, caches.max_seq_len)
+        k = min(_DRAFT_TOKENS, int((cap - lengths).min()) - 1)
+        feed = []
+        for b in range(n):
+            state = slots[b]
+            last = state.produced[-1]
+            if state.request.top_k is not None:
+                feed.append([last] * (k + 1))
+                continue
+            drafter = state.drafter
+            if drafter is None:
+                drafter = state.drafter = _PromptLookup(state.request.prompt_ids)
+            feed.append([last, *drafter.draft(state.produced, k)])
+        return np.asarray(feed, dtype=np.int64).reshape(n, k + 1)
+
+    def _verify(self, logits: np.ndarray, feed: np.ndarray) -> list[int]:
+        """Keep each decode row's agreeing draft prefix plus a bonus token.
+
+        ``logits`` is ``(n, q, V)``: position ``i`` of row ``b`` predicts
+        the token after ``feed[b, i]``.  A row's token at position ``i``
+        is the greedy choice there (``logit_bias`` added), kept only if
+        every earlier position's choice equalled the draft fed after it
+        and was not EOS, and the row's budget has room — so each kept
+        token is exactly what one-token decode would have produced.
+        Rows with a ``step_bias`` hook or a ``top_k`` sampler go
+        position by position (:meth:`_verify_row`).
+        Advances produced tokens, counts and KV lengths; returns the rows
+        that finished (EOS or budget), ascending.
+        """
+        n, per = feed.shape
+        slots = self._slots
+        room = self._budget[:n] - self._count[:n]
+        step = logits + self._bias[:n, None, :]
+        greedy = step.argmax(axis=-1)
+        eos = self._eos[:n]
+        agree = (greedy[:, :-1] == feed[:, 1:]) & (greedy[:, :-1] != eos[:, None])
+        kept = np.minimum(1 + np.cumprod(agree, axis=1).sum(axis=1), room).tolist()
+        # Draft positions a greedy row could keep (its budget permitting).
+        proposed = np.minimum(per - 1, room - 1)
+        rows = greedy.tolist()
+        special = self._n_hooked or self._n_sampled
+        feed_rows = feed.tolist() if special else None
+        last = []
+        for b in range(n):
+            state = slots[b]
+            request = state.request
+            if special and (
+                request.step_bias is not None or request.top_k is not None
+            ):
+                kept[b] = self._verify_row(state, step[b], feed_rows[b])
+                if request.top_k is not None:
+                    proposed[b] = 0
+            else:
+                state.produced.extend(rows[b][: kept[b]])
+            last.append(state.produced[-1])
+        accepted = np.asarray(kept, dtype=np.int64)
+        self._count[:n] += accepted
+        self._caches.advance(n, accepted)
+        self.decode_steps += 1
+        self.draft_tokens_proposed += int(proposed.sum())
+        self.draft_tokens_accepted += int(accepted.sum()) - n
+        finished = (np.asarray(last) == eos) | (self._count[:n] >= self._budget[:n])
+        return np.flatnonzero(finished).tolist()
+
+    @staticmethod
+    def _verify_row(
+        state: _SlotState, logits: np.ndarray, feed_row: list[int]
+    ) -> int:
+        """Position-by-position acceptance for one hooked or sampled row.
+
+        The row stops at its first mismatch, at EOS or at its budget.
+        The hook sees ``produced`` with every token kept so far this step
+        appended — ``produced + draft[:i]`` at position ``i`` — and runs
+        only on positions whose predecessors were all kept, so it runs
+        once per produced token, as in one-token decode.  A sampled row
+        draws exactly one token, from position 0.  Returns the number of
+        tokens kept.
+        """
+        request = state.request
+        produced = state.produced
+        hook = request.step_bias
+        per = min(len(feed_row), state.budget - len(produced))
+        i = 0
+        while True:
+            row = logits[i]
+            if hook is not None:
+                hook(produced, row)
+            if request.top_k is not None:
+                # The exact sampler of TransformerLM.generate on the
+                # request's private rng stream: draw-for-draw parity
+                # with the sequential path, whatever the batch.
+                produced.append(_sample_top_k(row, request.top_k, request.rng))
+                return 1
+            token = int(row.argmax())
+            produced.append(token)
+            i += 1
+            if i == per or token == request.eos_id or token != feed_row[i]:
+                return i
 
     # -- scoring phase -----------------------------------------------------------
     def _score_admit(self) -> None:
@@ -1983,34 +2225,15 @@ class BatchedEngine:
             if not plan:
                 return len(self._finished) - before
 
-        logits = self._unified_forward(plan, n_active)
-        slots = self._slots
-        step = logits[:n_active] + self._bias[:n_active]
-        sampled: list[int] = []
-        if self._n_hooked or self._n_sampled:
-            # Per-row handling only for slots that need it: dynamic bias
-            # hooks mutate their row in place before selection; sampled
-            # rows are collected for the batched top-k pass below.
-            for b in range(n_active):
-                request = slots[b].request
-                if request.step_bias is not None:
-                    request.step_bias(slots[b].produced, step[b])
-                if request.top_k is not None:
-                    sampled.append(b)
-        tokens = step.argmax(axis=-1)
-        for b in sampled:
-            # The exact sampler of TransformerLM.generate, fed from the
-            # request's private rng stream: draw-for-draw parity with the
-            # sequential path holds by construction, whatever the batch.
-            request = slots[b].request
-            tokens[b] = _sample_top_k(step[b], request.top_k, request.rng)
-        for b in range(n_active):
-            slots[b].produced.append(int(tokens[b]))
-        self._count[:n_active] += 1
-        finished_mask = (tokens == self._eos[:n_active]) | (
-            self._count[:n_active] >= self._budget[:n_active]
-        )
-        retired = np.flatnonzero(finished_mask).tolist()
+        feed = self._draft() if n_active else None
+        logits = self._unified_forward(plan, feed)
+        width = 0
+        retired: list[int] = []
+        if n_active:
+            width = feed.size
+            retired = self._verify(
+                logits[:width].reshape(n_active, feed.shape[1], -1), feed
+            )
         for b in reversed(retired):
             self._retire(b)
         if retired:
@@ -2021,7 +2244,7 @@ class BatchedEngine:
         if plan:
             # Parked rows that consumed their last prompt token join the
             # fleet now, selecting their first tokens from this forward.
-            self._promote_parked(list(logits[n_active:]))
+            self._promote_parked(list(logits[width:]))
         if (
             self.prefill_chunk_tokens is None
             and self._n_active + len(self._prefilling) < n_active + len(plan)
@@ -2035,7 +2258,7 @@ class BatchedEngine:
             # stall bound.
             refill = self._admit()
             if refill:
-                self._promote_parked(list(self._unified_forward(refill, 0)))
+                self._promote_parked(list(self._unified_forward(refill, None)))
         return len(self._finished) - before
 
     def collect(self) -> dict[int, list[int] | SequenceScore | None]:

@@ -93,15 +93,16 @@ class SelfAttention(Module):
         * **Packed varlen** (``pack_spans`` given) — ``x`` is one row
           whose token axis concatenates every sequence's new tokens,
           sequence ``i`` owning ``[pack_spans[i], pack_spans[i+1])``:
-          the engine's step forward, where decode rows (one token) and
+          the engine's step forward, where decode rows (``q`` tokens
+          each: the last produced token plus ``q - 1`` drafted ones) and
           prefill rows (many) share one pass with **zero** pad positions
           entering any projection GEMM.  ``cache`` is the engine's
           per-layer adapter; its ``update(k, v)`` stores the new K/V and
           returns the stacked decode-row keys/values plus each prefill
           row's whole written prefix (see :meth:`_packed_attention`).
-          ``key_mask`` (``0`` for valid keys, ``-1e9`` for stale
-          columns) hides each decode row's columns past its own length.
-          This path is float32 end to end.
+          ``key_mask`` (``(n, 1, q, view)``: ``0`` for visible keys,
+          ``-1e9`` otherwise) gives each decode query its causal
+          horizon.  This path is float32 end to end.
 
         ``causal_mask`` is an optional precomputed full
         ``(max_seq_len, max_seq_len)`` upper-triangular additive mask;
@@ -175,13 +176,16 @@ class SelfAttention(Module):
         """Attention core of a packed varlen batch.
 
         ``q`` is ``(1, H, T_total, Dh)`` with row ``i``'s query tokens at
-        ``[spans[i], spans[i+1])``.  The leading ``n_ones`` rows are
-        *single-token* (decode-shaped), so they own packed positions
-        ``[0, n_ones)`` and their queries and outputs move by basic
-        slice, not by gather.  Their keys arrive stacked as ``ones_k``/
-        ``ones_v`` — ``(n_ones, H, view, Dh)`` with ``key_mask`` hiding
-        each row's columns past its own length — and the whole block
-        runs one fused masked attention.  The remaining *chunk* rows run
+        ``[spans[i], spans[i+1])``.  The leading ``n`` rows are the
+        *decode* rows, all of the same length ``per`` (one fed token plus
+        ``per - 1`` drafted ones), so they own packed positions
+        ``[0, n·per)`` and their queries and outputs move by basic slice
+        and reshape, not by gather.  Their keys arrive stacked as
+        ``ones_k``/``ones_v`` — ``(n, H, view, Dh)`` — and the whole block
+        runs one fused ``(n, H, per, Dh) @ (n, H, Dh, view)`` attention;
+        ``key_mask`` (``(n, 1, per, view)``) shows query ``i`` of row
+        ``r`` exactly the columns ``c <= start_r + i``.  Plain decode is
+        ``per == 1``.  The remaining *chunk* rows run
         per row over their exact ``keys[j]``/``vals[j]`` prefixes — no
         pad column anywhere, each chunk's causal slice starts at its
         global offset ``t_k - valid``, and every score temporary stays
@@ -193,16 +197,22 @@ class SelfAttention(Module):
         out = np.empty((1, n_heads, t_total, head_dim), dtype=np.float32)
         ones = 0 if ones_k is None else ones_k.shape[0]
         if ones:
-            # (n1, H, 1, Dh): decode rows own packed positions [0, n1).
-            q_ones = q[0, :, :ones, :].transpose(1, 0, 2)[:, :, None, :]
+            # (n, H, per, Dh): decode rows own packed positions [0, n·per),
+            # row r's queries at [r·per, (r+1)·per).
+            per = int(spans[1])
+            width = ones * per
+            q_ones = q[0, :, :width, :].reshape(
+                n_heads, ones, per, head_dim
+            ).transpose(1, 0, 2, 3)
             scores = q_ones @ np.swapaxes(ones_k, -1, -2)
             scores *= scale32
-            if key_mask is not None:
-                scores += key_mask
+            scores += key_mask
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=-1, keepdims=True)
-            out[0, :, :ones, :] = (scores @ ones_v)[:, :, 0, :].transpose(1, 0, 2)
+            out[0, :, :width, :] = (scores @ ones_v).transpose(1, 0, 2, 3).reshape(
+                n_heads, width, head_dim
+            )
         for row in range(ones, len(spans) - 1):
             s, e = int(spans[row]), int(spans[row + 1])
             valid = e - s
@@ -349,19 +359,16 @@ class TransformerLM(Module):
         ``idx`` — required by the packed varlen layout (``pack_spans``),
         where one row concatenates many sequences at unrelated depths.
         ``key_mask`` and ``pack_spans`` are forwarded to every attention
-        layer (see :meth:`SelfAttention.forward_numpy`).  With
-        ``pack_spans`` the final norm + vocabulary projection run only
-        over each packed sequence's last token — the engine consumes
-        nothing else, and the head GEMM over a whole prompt is otherwise
-        the single largest matmul of the forward — and the return value
-        is ``(1, n_rows, V)``.  ``logit_positions`` does the same for
-        teacher-forced scoring: an index array gathering exactly the
-        token positions whose logits are consumed, so the full-vocab
-        GEMM runs only over scored positions; the return value is then
-        ``(B, len(logit_positions), V)``.
+        layer (see :meth:`SelfAttention.forward_numpy`).
+        ``logit_positions`` is an index array gathering exactly the token
+        positions whose logits are consumed, so the final norm and the
+        full-vocab head GEMM — over a whole prompt the single largest
+        matmul of the forward — run only there; the return value is then
+        ``(B, len(logit_positions), V)``.  Teacher-forced scoring passes
+        the completion-predicting positions; the engine passes every
+        decode-row position (each verifies a drafted token) plus each
+        prefill row's last token.
         """
-        if logit_positions is not None and pack_spans is not None:
-            raise GenerationError("logit_positions is exclusive with pack_spans")
         idx = np.asarray(idx)
         b, t = idx.shape
         if token_positions is not None:
@@ -384,9 +391,7 @@ class TransformerLM(Module):
                 self._causal_mask,
                 pack_spans,
             )
-        if pack_spans is not None:
-            x = x[:, pack_spans[1:] - 1, :]
-        elif logit_positions is not None:
+        if logit_positions is not None:
             x = x[:, logit_positions, :]
         x = self.ln_f.forward_numpy(x)
         if self.head is None:

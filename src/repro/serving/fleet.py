@@ -619,6 +619,7 @@ class EngineFleet:
             "max_batch", "n_active", "n_prefilling", "n_pending",
             "n_preempted", "free_slots", "resident_kv_bytes", "total_pages",
             "free_pages", "reserved_pages", "pages_in_use",
+            "decode_steps", "draft_tokens_proposed", "draft_tokens_accepted",
         )
         agg: dict = {
             "workers": len(snaps),

@@ -377,7 +377,7 @@ def test_packed_prefill_last_token_logits_match_per_request(model, ragged_prompt
     engine._ensure_state()
     plan = engine._admit()
     assert [end for _, end in plan] == [len(p) for p in prompts]
-    logits = engine._unified_forward(plan, 0)
+    logits = engine._unified_forward(plan, None)
     assert logits.dtype == np.float32
     for row, prompt in enumerate(prompts):
         caches = [{"k": None, "v": None} for _ in model.blocks]
@@ -779,7 +779,9 @@ def test_cancel_pending_parked_and_active(model):
     assert engine.cancel(parked) and engine.cancel(queued)
     assert engine.n_prefilling == 0 and engine.n_pending == 0
     mid = engine.submit(GenerationRequest(prompts[3], 12))
-    for _ in range(6):
+    # Step until mid is decoding with a few tokens out: a step keeps at
+    # most 1 + _DRAFT_TOKENS of them, so it is still short of its 12.
+    while len(engine.produced_so_far(mid) or ()) < 3:
         engine.step()
     assert engine.cancel(mid)
     results: dict[int, list[int]] = {}
@@ -1254,3 +1256,284 @@ def test_clear_prefix_cache_returns_pages_to_free_list(model):
     # The next identical prompt re-prefills (cold) and re-registers.
     engine.generate([GenerationRequest(template + [5], 4, eos_id=2)])
     assert engine.kv_stats()["prefix_cache"]["cached_pages"] > 0
+
+
+# -- speculative decoding: prompt-lookup drafts verified in the one forward -------
+
+MOTIF = [10, 11, 12, 13, 14, 15, 16]
+
+
+def _copy_request(prompt, budget, eos_id=None, step_bias=None):
+    """A request that copies ``MOTIF`` out of ``prompt``: CoachLM's copy
+    assist — a static bias picks the motif's first token, then
+    :class:`InductionCopyBias` follows the prompt from there."""
+    bias = np.zeros(197, dtype=np.float32)
+    bias[MOTIF[0]] = 20.0
+    return GenerationRequest(
+        prompt, budget, eos_id=eos_id, logit_bias=bias,
+        step_bias=step_bias or InductionCopyBias(prompt, 100.0),
+    )
+
+
+def _sequential_request(model, request):
+    """Cached one-token decode with the request's biases and hook applied
+    as CoachLM's sequential copy assist applies them."""
+    prompt = request.prompt_ids
+    budget = min(request.max_new_tokens, model.config.max_seq_len - len(prompt))
+    caches = [{"k": None, "v": None} for _ in model.blocks]
+    logits = model._forward_numpy(np.asarray([prompt]), caches)[:, -1, :]
+    produced: list[int] = []
+    for _ in range(budget):
+        step = logits[0].copy()
+        if request.logit_bias is not None:
+            step += request.logit_bias
+        if request.step_bias is not None:
+            request.step_bias(produced, step)
+        token = int(step.argmax())
+        produced.append(token)
+        if token == request.eos_id:
+            break
+        logits = model._forward_numpy(
+            np.asarray([[token]]), caches,
+            position_offset=len(prompt) + len(produced) - 1,
+        )[:, -1, :]
+    return produced
+
+
+def test_speculation_accepts_every_draft_on_a_copied_motif(model):
+    prompts = [[5, 6] + MOTIF * 3, [90, 91, 92] + MOTIF * 2, MOTIF * 4]
+    requests = [_copy_request(p, 30) for p in prompts]
+    expected = [_sequential_request(model, r) for r in requests]
+    assert expected[0][:8] == MOTIF + MOTIF[:1]
+    engine = BatchedEngine(model, max_batch=3)
+    assert engine.generate(requests) == expected
+    stats = engine.kv_stats()
+    # 29 decode tokens per row, four kept per verify step.
+    assert stats["decode_steps"] == 8
+    assert stats["draft_tokens_proposed"] > 0
+    assert stats["draft_tokens_accepted"] == stats["draft_tokens_proposed"]
+
+
+def test_speculation_rejects_every_draft_on_novel_tokens(model):
+    def novel(produced, row):
+        # Every token is one the sequence has never seen, so no lookup
+        # can predict it.
+        row[100 + len(produced)] += 1e4
+
+    prompts = [MOTIF * 2, [5, 6, 7]]
+    requests = [GenerationRequest(p, 20, step_bias=novel) for p in prompts]
+    expected = [_sequential_request(model, r) for r in requests]
+    engine = BatchedEngine(model, max_batch=2)
+    assert engine.generate(requests) == expected
+    stats = engine.kv_stats()
+    assert stats["decode_steps"] == 19      # one kept token per step
+    assert stats["draft_tokens_proposed"] > 0
+    assert stats["draft_tokens_accepted"] == 0
+
+
+def test_speculation_stops_at_eos_inside_an_accepted_run(model):
+    """EOS reached after accepted drafts ends the row mid-run; a batchmate
+    without EOS keeps speculating past it."""
+    prompt = [5, 6] + MOTIF * 3
+    # The first token (10) comes from prefill; the first verify step then
+    # keeps 11, 12 and stops at EOS 13 although the draft ran on.
+    requests = [
+        _copy_request(prompt, 30, eos_id=MOTIF[3]),
+        _copy_request(prompt, 30, eos_id=MOTIF[6]),
+        _copy_request(prompt, 30),
+    ]
+    expected = [_sequential_request(model, r) for r in requests]
+    assert expected[0] == MOTIF[:4] and expected[1] == MOTIF
+    engine = BatchedEngine(model, max_batch=3)
+    ids = [engine.submit(r) for r in requests]
+    engine.step()
+    engine.step()
+    done = engine.collect()
+    assert done == {ids[0]: expected[0]}
+    assert engine.produced_so_far(ids[1]) == MOTIF[:5]
+    results = {**done}
+    while engine.has_work:
+        engine.step()
+        results.update(engine.collect())
+    assert [results[i] for i in ids] == expected
+
+
+def test_speculation_plain_rows_stop_at_eos_drafted_inside_a_run(monkeypatch):
+    """Hook-free greedy rows take the vectorised acceptance path.  A
+    scripted forward (each position's argmax is a fixed successor of its
+    input token, cycling through ``MOTIF``) makes every draft right, so
+    EOS arrives as an accepted draft mid-run and must end the row there,
+    and a row without EOS must stop exactly at its budget."""
+    config = TransformerConfig(
+        vocab_size=197, d_model=8, n_layers=1, n_heads=2, max_seq_len=80
+    )
+    model = TransformerLM(config, np.random.default_rng(0))
+    successor = np.arange(197)
+    successor[MOTIF] = np.roll(MOTIF, -1)
+
+    def scripted(idx, caches, position_offset=0, key_mask=None,
+                 pack_spans=None, token_positions=None, logit_positions=None):
+        nxt = successor[np.asarray(idx)]
+        if logit_positions is not None:
+            nxt = nxt[:, logit_positions]
+        logits = np.zeros(nxt.shape + (197,), dtype=np.float32)
+        np.put_along_axis(logits, nxt[..., None], 1.0, axis=-1)
+        return logits
+
+    monkeypatch.setattr(model, "_forward_numpy", scripted)
+    prompt = MOTIF * 2
+    requests = [
+        GenerationRequest(prompt, 30, eos_id=MOTIF[6]),
+        GenerationRequest(prompt, 30, eos_id=MOTIF[2]),
+        GenerationRequest(prompt, 10),
+    ]
+    expected = [
+        model.generate(r.prompt_ids, r.max_new_tokens, eos_id=r.eos_id)
+        for r in requests
+    ]
+    assert expected[0] == MOTIF and expected[1] == MOTIF[:3]
+    assert expected[2] == (MOTIF * 2)[:10]
+    engine = BatchedEngine(model, max_batch=3)
+    ids = [engine.submit(r) for r in requests]
+    engine.step()
+    engine.step()
+    # First verify step: row 1 stops on its drafted EOS after one
+    # accepted draft; the others keep four tokens.
+    assert engine.collect() == {ids[1]: expected[1]}
+    assert engine.produced_so_far(ids[0]) == MOTIF[:5]
+    assert engine.produced_so_far(ids[2]) == expected[2][:5]
+    results = {}
+    while engine.has_work:
+        engine.step()
+        results.update(engine.collect())
+    assert results == {ids[0]: expected[0], ids[2]: expected[2]}
+
+
+@pytest.mark.parametrize("page_tokens", [1, 3, 16])
+def test_speculation_clips_at_the_context_end_within_the_page_quota(
+    model, page_tokens
+):
+    """``prompt + budget == max_seq_len``: the last steps shrink ``q`` so
+    no write passes the context end, and no row holds more pages than
+    its reserved quota."""
+    context = model.config.max_seq_len
+    prompts = [[5, 6] + MOTIF * 9, [90] + MOTIF * 10]     # 65 and 71 tokens
+    requests = [_copy_request(p, 100) for p in prompts]
+    expected = [_sequential_request(model, r) for r in requests]
+    assert [len(p) + len(e) for p, e in zip(prompts, expected)] == [context] * 2
+    engine = BatchedEngine(model, max_batch=2, kv_page_tokens=page_tokens)
+    ids = [engine.submit(r) for r in requests]
+    quota = sum(-(-context // page_tokens) for _ in prompts)
+    results: dict[int, list[int]] = {}
+    while engine.has_work:
+        engine.step()
+        results.update(engine.collect())
+        stats = engine.kv_stats()
+        assert stats["pages_in_use"] <= stats["reserved_pages"] <= quota
+    assert [results[i] for i in ids] == expected
+    stats = engine.kv_stats()
+    assert stats["peak_pages_in_use"] <= quota
+    assert stats["pages_in_use"] == 0 and stats["reserved_pages"] == 0
+    assert stats["draft_tokens_accepted"] > 0
+
+
+def test_speculation_calls_step_bias_with_produced_plus_accepted_drafts(model):
+    """The hook sees ``produced + draft[:i]`` at position ``i`` and never
+    runs past a rejection: its calls are exactly the sequential ones."""
+    prompt = [5, 6] + MOTIF * 3
+    calls: dict[str, list[list[int]]] = {"engine": [], "sequential": []}
+
+    def recording(key):
+        induction = InductionCopyBias(prompt, 100.0)
+
+        def hook(produced, row):
+            calls[key].append(list(produced))
+            induction(produced, row)
+
+        return hook
+
+    expected = _sequential_request(
+        model, _copy_request(prompt, 24, step_bias=recording("sequential"))
+    )
+    engine = BatchedEngine(model, max_batch=1)
+    got = engine.generate(
+        [_copy_request(prompt, 24, step_bias=recording("engine"))]
+    )
+    assert got == [expected]
+    assert calls["engine"] == calls["sequential"]
+    assert calls["engine"] == [expected[:i] for i in range(len(expected))]
+    assert engine.kv_stats()["draft_tokens_accepted"] > 0
+
+
+def test_speculation_top_k_rows_keep_one_sampled_token_per_step(model):
+    """Sampled rows draw exactly one token per step, draw-for-draw equal
+    to ``TransformerLM.generate``, while their greedy batchmate keeps
+    every draft."""
+    prompt = [5, 6] + MOTIF * 3
+    sampled = [(list(range(30, 33)), 3, 5), (list(range(40, 49)), 4, 6)]
+    expected = [_sequential_request(model, _copy_request(prompt, 24))] + [
+        model.generate(p, 24, top_k=k, rng=np.random.default_rng(seed))
+        for p, k, seed in sampled
+    ]
+    requests = [_copy_request(prompt, 24)] + [
+        GenerationRequest(p, 24, top_k=k, rng=np.random.default_rng(seed))
+        for p, k, seed in sampled
+    ]
+    engine = BatchedEngine(model, max_batch=3)
+    assert engine.generate(requests) == expected
+    stats = engine.kv_stats()
+    # The sampled rows need 23 verify steps; no draft position of theirs
+    # is counted, and every one of the greedy row's was kept.
+    assert stats["decode_steps"] == 23
+    assert stats["draft_tokens_accepted"] == stats["draft_tokens_proposed"] > 0
+
+
+def test_speculation_cancel_and_preempt_resume_between_steps(model):
+    prompts = [[5, 6] + MOTIF * 3, [90, 91] + MOTIF * 2, MOTIF * 3]
+    requests = [_copy_request(p, 30) for p in prompts]
+    expected = [_sequential_request(model, r) for r in requests]
+    engine = BatchedEngine(model, max_batch=3, kv_page_tokens=3)
+    ids = [engine.submit(r) for r in requests]
+    engine.step()
+    engine.step()
+    assert [len(engine.produced_so_far(i)) for i in ids] == [5, 5, 5]
+    assert engine.preempt(ids[0])
+    assert engine.cancel(ids[1])
+    engine.step()
+    assert engine.preempt(ids[2])
+    results: dict[int, list[int]] = {}
+    while engine.has_work:
+        engine.step()
+        results.update(engine.collect())
+    assert results[ids[0]] == expected[0]
+    assert results[ids[1]] == expected[1][:5]
+    assert results[ids[2]] == expected[2]
+    stats = engine.kv_stats()
+    assert stats["preemption"]["resumes"] == 2
+    assert stats["pages_in_use"] == 0 and stats["reserved_pages"] == 0
+    # Resumes re-feed only the not-yet-fed bonus token, never a prompt one.
+    assert engine.total_prompt_tokens_prefilled == sum(len(p) for p in prompts)
+
+
+def test_speculation_never_writes_shared_prefix_pages(model):
+    """Drafted columns land only in private pages: the K/V of every page
+    the radix index shares are byte-identical before and after other
+    sequences decode speculatively on top of them."""
+    template = [5, 6] + MOTIF * 4                    # 30 tokens
+    prompts = [template + [40 + i, 50 + i] for i in range(4)]
+    requests = [_copy_request(p, 24) for p in prompts]
+    expected = [_sequential_request(model, r) for r in requests]
+    engine = _prefix_engine(model, max_batch=3, kv_page_tokens=8)
+    assert engine.generate(requests[:1]) == expected[:1]
+    pool = engine._caches
+    shared = sorted(pool._page_nodes)
+    assert len(shared) == 4
+    cols = np.concatenate([np.arange(p * 8, (p + 1) * 8) for p in shared])
+    before = [(k[:, cols].copy(), v[:, cols].copy()) for k, v in zip(pool.k, pool.v)]
+    assert engine.generate(requests[1:]) == expected[1:]
+    stats = engine.kv_stats()
+    assert stats["prefix_cache"]["hits"] >= 3
+    assert stats["draft_tokens_accepted"] > 0
+    for (k, v), (k0, v0) in zip(zip(pool.k, pool.v), before):
+        assert np.array_equal(k[:, cols], k0) and np.array_equal(v[:, cols], v0)
+    assert stats["pages_in_use"] == 0 and stats["reserved_pages"] == 0

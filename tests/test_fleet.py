@@ -358,6 +358,33 @@ def test_fleet_metrics_and_health_schema(coach, dataset):
     assert health["workers"]["total"] == 2
 
 
+def test_fleet_merges_speculation_counters(coach, dataset, reference):
+    """The engine's speculation counters in ``metrics_snapshot()['engine']``
+    are the sums of the per-worker values, over two busy workers."""
+    keys = ("decode_steps", "draft_tokens_proposed", "draft_tokens_accepted")
+    with EngineFleet(coach, _fast_fleet_config()) as fleet:
+        pairs = list(dataset)
+        for pair, future in [(p, fleet.submit(p)) for p in pairs]:
+            _assert_parity(future.result(timeout=120), pair, reference)
+        deadline = time.monotonic() + 30
+        while True:
+            # Heartbeats refresh the per-worker snapshots; compare once
+            # both workers have decoded and a snapshot is bracketed by
+            # two identical per-worker reads.
+            before = fleet.worker_stats()
+            merged = fleet.metrics_snapshot()["engine"]
+            after = fleet.worker_stats()
+            busy = [s["kv"] for s in before if s["kv"] and s["kv"]["decode_steps"]]
+            if before == after and len(busy) == 2:
+                break
+            assert time.monotonic() < deadline, before
+            time.sleep(0.05)
+    for key in keys:
+        assert merged[key] == sum(kv[key] for kv in busy), key
+    assert merged["draft_tokens_accepted"] > 0
+    assert merged["draft_tokens_accepted"] <= merged["draft_tokens_proposed"]
+
+
 def test_http_frontend_serves_fleet(coach, dataset):
     fleet = EngineFleet(coach, _fast_fleet_config())
     with RevisionHTTPFrontend(fleet) as frontend:

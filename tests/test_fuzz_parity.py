@@ -16,6 +16,18 @@ a randomly undersized page budget (so page-exhaustion deferral and
 recycling are fuzzed, not just directed-tested), and the radix prefix
 cache on or off — none of which may change a single token.
 
+Some prompts repeat a short motif, the copy-shaped input speculative
+decoding drafts from.  Half of those carry CoachLM's copy assist — a
+static bias on the motif's first token plus an :class:`InductionCopyBias`
+hook — over a motif that contains EOS, so the output copies the motif,
+every draft is accepted, and EOS lands inside an accepted run.  Full
+draft acceptance, EOS inside a run, ``step_bias`` hooks under
+speculation and the budget clip at the context end are thereby fuzzed
+against the sequential path.  The motif draws come from their own rng
+stream, so every other draw of a seed is unchanged, and each run's
+corpus must keep at least one drafted token
+(``test_fuzz_corpus_accepts_drafts``).
+
 Scenarios draw *shared-prefix request families* alongside independent
 prompts: several requests extend the same template prefix at random cut
 points, so with the prefix cache on the trace exercises radix hits,
@@ -55,7 +67,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.nn import BatchedEngine, GenerationRequest, TransformerConfig, TransformerLM
+from repro.nn import (
+    BatchedEngine,
+    GenerationRequest,
+    InductionCopyBias,
+    TransformerConfig,
+    TransformerLM,
+)
+from repro.nn.transformer import _sample_top_k
 
 MASTER_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20240311"))
 N_SCENARIOS = int(os.environ.get("REPRO_FUZZ_SCENARIOS", "60"))
@@ -75,6 +94,12 @@ def model():
     return TransformerLM(config, np.random.default_rng(1729))
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    """Scenarios run and drafted tokens kept, summed over this run."""
+    return {"scenarios": 0, "accepted": 0}
+
+
 @dataclass
 class _FuzzRequest:
     """One fuzzed request plus its trace-level scheduling decisions."""
@@ -87,6 +112,9 @@ class _FuzzRequest:
     arrival_step: int
     cancel_step: int | None = None
     priority: int = 0
+    #: Copy assist: InductionCopyBias strength, with a static bias on
+    #: the prompt's first token (None = plain decode).
+    copy_strength: float | None = None
 
 
 @dataclass
@@ -112,6 +140,9 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
     preempt_rng = np.random.default_rng((seed, 0x70EE))
     preempt_coin = preempt_rng.random() < 0.5
     preempt_seed = int(preempt_rng.integers(0, 2**31))
+    # Motif draws: a third stream, so the traces stay those of the other
+    # draws.
+    motif_rng = np.random.default_rng((seed, 0x5BEC))
     preempt = preempt_coin if PREEMPT_MODE == "auto" else PREEMPT_MODE == "on"
     # KV layout draw.  Every layout-related draw is consumed
     # unconditionally, in a fixed order, BEFORE the mode override is
@@ -176,6 +207,19 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
             # Extend the family template at the cut point; keep the
             # request's own drawn length so budgets stay varied.
             prompt = (template[:cut] + prompt)[:n_prompt] or prompt
+        motif_coin = motif_rng.random() < 0.3
+        motif = int(motif_rng.integers(1, 5))
+        copy_coin = motif_rng.random() < 0.5
+        copy_strength = None
+        if motif_coin:
+            # Repeat the prompt's first tokens: the drafter's lookups
+            # then find a continuation for every suffix of the prompt.
+            unit = prompt[:motif]
+            if copy_coin:
+                # The copied output reaches EOS a motif length in.
+                unit = unit + [EOS_ID]
+                copy_strength = 100.0
+            prompt = (unit * len(prompt))[: len(prompt)]
         top_k = int(rng.integers(1, 6)) if rng.random() < 0.35 else None
         scenario.requests.append(
             _FuzzRequest(
@@ -189,9 +233,20 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
                     int(rng.integers(1, 25)) if rng.random() < 0.2 else None
                 ),
                 priority=drawn_priority if preempt else 0,
+                copy_strength=copy_strength,
             )
         )
     return scenario
+
+
+def _copy_assist(req: _FuzzRequest):
+    """The request's ``(logit_bias, step_bias)``: CoachLM-style copy
+    assist, or ``(None, None)`` for plain decode."""
+    if req.copy_strength is None:
+        return None, None
+    bias = np.zeros(VOCAB, dtype=np.float32)
+    bias[req.prompt[0]] = 8.0
+    return bias, InductionCopyBias(req.prompt, req.copy_strength)
 
 
 def _sequential_reference(model: TransformerLM, req: _FuzzRequest) -> list[int]:
@@ -200,22 +255,48 @@ def _sequential_reference(model: TransformerLM, req: _FuzzRequest) -> list[int]:
         if req.sample_seed is not None
         else None
     )
-    return model.generate(
-        req.prompt,
-        req.max_new_tokens,
-        eos_id=req.eos_id,
-        top_k=req.top_k,
-        rng=rng,
-    )
+    logit_bias, step_bias = _copy_assist(req)
+    if step_bias is None:
+        return model.generate(
+            req.prompt,
+            req.max_new_tokens,
+            eos_id=req.eos_id,
+            top_k=req.top_k,
+            rng=rng,
+        )
+    # TransformerLM.generate's cached decode with the hook applied
+    # before each selection, as CoachLM's sequential copy assist does.
+    budget = min(req.max_new_tokens, model.config.max_seq_len - len(req.prompt))
+    if budget <= 0:
+        return []
+    caches = [{"k": None, "v": None} for _ in model.blocks]
+    logits = model._forward_numpy(np.asarray([req.prompt]), caches)[:, -1, :]
+    produced: list[int] = []
+    for _ in range(budget):
+        step = logits[0] + logit_bias
+        step_bias(produced, step)
+        if req.top_k is not None:
+            token = _sample_top_k(step, req.top_k, rng)
+        else:
+            token = int(step.argmax())
+        produced.append(token)
+        if token == req.eos_id:
+            break
+        logits = model._forward_numpy(
+            np.asarray([[token]]), caches,
+            position_offset=len(req.prompt) + len(produced) - 1,
+        )[:, -1, :]
+    return produced
 
 
 def _run_engine_trace(
-    model: TransformerLM, scenario: _Scenario
+    model: TransformerLM, scenario: _Scenario, corpus: dict
 ) -> tuple[dict[int, list[int]], dict[int, int]]:
     """Drive the streaming API along the scenario's arrival/cancel trace.
 
     Returns ``(results by request index, seq_id by request index)`` —
-    cancellations key off the engine-assigned sequence ids.
+    cancellations key off the engine-assigned sequence ids — and adds
+    the drained engine's kept draft tokens to ``corpus``.
     """
     engine = BatchedEngine(
         model,
@@ -243,6 +324,7 @@ def _run_engine_trace(
                     if req.sample_seed is not None
                     else None
                 )
+                logit_bias, step_bias = _copy_assist(req)
                 seq_ids[i] = engine.submit(
                     GenerationRequest(
                         req.prompt,
@@ -251,6 +333,8 @@ def _run_engine_trace(
                         top_k=req.top_k,
                         rng=rng,
                         priority=req.priority,
+                        logit_bias=logit_bias,
+                        step_bias=step_bias,
                     )
                 )
             if (
@@ -276,6 +360,8 @@ def _run_engine_trace(
         guard += 1
         assert guard < 5000, "fuzz trace failed to terminate"
     stats = engine.kv_stats()
+    corpus["scenarios"] += 1
+    corpus["accepted"] += stats["draft_tokens_accepted"]
     assert stats["n_preempted"] == 0, stats    # no sequence left suspended
     # Every page and every reservation must come back once the trace
     # drains — leaks here would strangle a long-lived server.
@@ -296,14 +382,14 @@ def _run_engine_trace(
 
 
 @pytest.mark.parametrize("index", range(N_SCENARIOS))
-def test_fuzz_streaming_engine_matches_sequential(model, index):
+def test_fuzz_streaming_engine_matches_sequential(model, corpus, index):
     seed = MASTER_SEED + index
     scenario = _draw_scenario(seed, model.config.max_seq_len)
     cancelled = {
         i for i, req in enumerate(scenario.requests)
         if req.cancel_step is not None
     }
-    results, _ = _run_engine_trace(model, scenario)
+    results, _ = _run_engine_trace(model, scenario, corpus)
     repro_hint = (
         f"reproduce with: REPRO_FUZZ_SEED={seed} REPRO_FUZZ_SCENARIOS=1 "
         f"python -m pytest tests/test_fuzz_parity.py"
@@ -326,3 +412,14 @@ def test_fuzz_streaming_engine_matches_sequential(model, index):
                 f"engine:     {got}\nsequential: {expected}\n"
                 f"scenario: {scenario}\n{repro_hint}"
             )
+
+
+def test_fuzz_corpus_accepts_drafts(corpus):
+    """The corpus exercises draft acceptance, not only rejection.
+
+    Runs after the scenarios above.  A one-seed reproduction run is too
+    small to require it, so fewer than ten scenarios skip the check.
+    """
+    if corpus["scenarios"] < 10:
+        pytest.skip(f"only {corpus['scenarios']} fuzz scenarios ran")
+    assert corpus["accepted"] > 0, corpus

@@ -485,13 +485,34 @@ def _await_disconnect_recycled(server, timeout=30.0):
     )
 
 
-def test_http_midstream_rst_cancels_and_recycles(coach, dataset):
+def _pace_engine(server, monkeypatch, seconds_per_step=0.004):
+    """Hold each engine step to at least ``seconds_per_step``.
+
+    A verify step keeps up to four tokens per row, so an unpaced
+    revision can finish before the server's next token write notices a
+    torn stream, and a finished sequence has nothing left to cancel.
+    At ~1 ms per kept token the stream lasts as long as it did at one
+    token per step.
+    """
+    engine = server.scheduler.engine
+    step = engine.step
+
+    def paced_step() -> int:
+        finished = step()
+        time.sleep(seconds_per_step)
+        return finished
+
+    monkeypatch.setattr(engine, "step", paced_step)
+
+
+def test_http_midstream_rst_cancels_and_recycles(coach, dataset, monkeypatch):
     """A real-socket client that RSTs mid-SSE: the server must notice on
     its next write, cancel the sequence, recycle its pages, and keep
     serving other clients."""
     pair = dataset[6]
     config = ServingConfig(max_batch=2, kv_page_tokens=16, kv_pool_pages=24)
     server = RevisionServer(coach, config)
+    _pace_engine(server, monkeypatch)
     with RevisionHTTPFrontend(server) as frontend:
         host, port = frontend.httpd.server_address[:2]
         body = json.dumps({
@@ -522,7 +543,7 @@ def test_http_midstream_rst_cancels_and_recycles(coach, dataset):
 
 
 def test_fault_plan_stream_reset_tears_stream_and_server_recovers(
-    coach, dataset
+    coach, dataset, monkeypatch
 ):
     """The new ``stream_reset`` fault class through the real proxy: the
     streaming client sees a typed transport fault, the server recycles
@@ -539,6 +560,7 @@ def test_fault_plan_stream_reset_tears_stream_and_server_recovers(
     # 150-token budget instead of 72 keeps it running long after that.
     coach = CoachLM(coach.model, coach.tokenizer, max_new_tokens=150)
     server = RevisionServer(coach, ServingConfig(max_batch=2))
+    _pace_engine(server, monkeypatch)
     with RevisionHTTPFrontend(server) as frontend:
         host, port = frontend.httpd.server_address[:2]
         with FaultyProxy(host, port, plan) as proxy:

@@ -263,8 +263,9 @@ def test_scheduler_paces_streamed_token_deliveries(coach, monkeypatch):
     )
     events: list[tuple[str, list[int]]] = []
     prompt = list(np.random.default_rng(7).integers(5, 100, size=6))
-    scheduler = StreamingScheduler(BatchedEngine(coach.model, max_batch=1))
-    scheduler.submit(EngineJob(
+    engine = BatchedEngine(coach.model, max_batch=1)
+    scheduler = StreamingScheduler(engine)
+    seq_id = scheduler.submit(EngineJob(
         GenerationRequest(prompt, 20, eos_id=None),
         lambda tokens: events.append(("done", list(tokens))),
         on_token=lambda delta: events.append(("token", list(delta))),
@@ -274,14 +275,17 @@ def test_scheduler_paces_streamed_token_deliveries(coach, monkeypatch):
     assert events[0][0] == "token"
 
     # The clock stands still: steps produce tokens, nothing is delivered.
-    for _ in range(4):
+    # A step keeps at most four tokens, so holding five takes several.
+    while len(engine.produced_so_far(seq_id)) < 6:
         scheduler.pump()
     assert len(events) == 1
 
-    # Once the interval has passed, one delivery carries every held token.
+    # Once the interval has passed, one delivery carries every held token
+    # (the sequence is still short of its 20).
     clock[0] += scheduler_module.TOKEN_DELIVERY_INTERVAL_S
     scheduler.pump()
-    assert len(events) == 2 and len(events[1][1]) == 5
+    produced = engine.produced_so_far(seq_id)
+    assert len(events) == 2 and events[1][1] == produced[1:]
 
     scheduler.drain()
     kinds = [kind for kind, _ in events]
