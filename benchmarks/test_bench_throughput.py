@@ -276,10 +276,12 @@ def _kv_memory_stage(model, prompts) -> dict:
     follow the *live* fleet, not the provisioned worst case — so the
     scenario is an engine provisioned wide (two burst widths of slots)
     serving prompt-heavy requests that arrive over time, the serving
-    shape where occupancy is variable.  The reference is the analytic
-    size of per-slot full-context slabs, ``2 × n_layers × max_batch ×
-    max_seq_len × d_model`` float32 bytes; the pool holds the pages of
-    the sequences actually alive (plus its attention mirror, counted).
+    shape where occupancy is variable; a new request arrives each time
+    the live sequences have produced 4 more tokens.  The reference is
+    the analytic size of per-slot full-context slabs, ``2 × n_layers ×
+    max_batch × max_seq_len × d_model`` float32 bytes; the pool holds the
+    pages of the sequences actually alive (plus its attention mirror,
+    counted).
     The peaks are the pool's own high-water marks, not samples taken
     between steps.  Tokens must match the sequential path exactly.
     """
@@ -293,6 +295,10 @@ def _kv_memory_stage(model, prompts) -> dict:
     results: dict[int, list[int]] = {}
     ids: list[int] = []
     pending = list(prompts)
+
+    def produced(seq_id: int) -> int:
+        return len(engine.produced_so_far(seq_id) or ())
+
     while pending or engine.has_work:
         if pending:
             ids.append(
@@ -300,7 +306,14 @@ def _kv_memory_stage(model, prompts) -> dict:
                     GenerationRequest(pending.pop(0), HEAVY_MAX_NEW_TOKENS)
                 )
             )
-        for _ in range(4):
+        # Arrivals are paced by produced tokens, not engine steps: the
+        # next prompt arrives once every unfinished sequence has produced
+        # 4 more tokens (or finished), so the live fleet overlaps the same
+        # way however many tokens one step keeps.
+        marks = {i: produced(i) + 4 for i in ids if i not in results}
+        while engine.has_work and any(
+            i not in results and produced(i) < mark for i, mark in marks.items()
+        ):
             engine.step()
             results.update(engine.collect())
     results.update(engine.collect())

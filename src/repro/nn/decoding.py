@@ -38,11 +38,9 @@ carries both:
    decode rows share one fused masked sub-attention over a stacked KV
    view, with query ``i`` of row ``b`` seeing columns up to
    ``lengths[b] + i``; plain one-token decode is ``q = 1`` of the same
-   code.  Token selection verifies the drafts: one batched ``argmax``
-   over every decode position, and each row keeps the longest prefix
-   greedy selection agrees with, plus one bonus token — with per-row,
-   per-position handling only for slots carrying a ``step_bias`` hook
-   or a ``top_k`` sampler.
+   code.  Token selection verifies the drafts position by position:
+   each row keeps the longest prefix greedy selection agrees with, plus
+   one bonus token.
 
 Speculative decoding
 ~~~~~~~~~~~~~~~~~~~~
@@ -53,7 +51,8 @@ output.  Each greedy decode row carries a prompt-lookup drafter
 (:class:`_PromptLookup`, reference-copy decoding in the style of LLMA,
 arXiv 2304.04487): it copies up to :data:`_DRAFT_TOKENS` tokens from
 where the row's last bigram (falling back to its last token) occurred
-before.  The drafts are verified inside the step's one packed forward
+before.  A step on which no greedy row finds either runs ``q = 1``.
+The drafts are verified inside the step's one packed forward
 — the same forward plain decode runs, with ``q`` query positions per
 row instead of one (speculative decoding, arXiv 2211.17192).  Position
 ``i`` is accepted only if every earlier position matched its draft, so
@@ -311,9 +310,9 @@ class _PromptLookup:
     followed the most recent earlier occurrence of that bigram / token.
     Both are updated as tokens are appended — O(1) per token, no scan
     per step.  A draft copies ``k`` tokens starting at the last bigram's
-    follower, else the last token's, else the last token itself; a copy
-    that runs past the end continues from its own drafted tokens, so a
-    repeating span keeps being predicted.
+    follower, else the last token's; a copy that runs past the end
+    continues from its own drafted tokens, so a repeating span keeps
+    being predicted.  With neither seen before there is no draft.
     """
 
     __slots__ = ("tokens", "n_prompt", "bigram", "unigram")
@@ -337,7 +336,11 @@ class _PromptLookup:
             tokens.append(token)
 
     def draft(self, produced: list[int], k: int) -> list[int]:
-        """Index the tokens produced since the last call; draft ``k``."""
+        """Index the tokens produced since the last call; draft ``k``.
+
+        Returns ``[]`` when the last bigram and the last token both
+        occur nowhere earlier.
+        """
         tokens = self.tokens
         seen = len(tokens) - self.n_prompt
         if seen < len(produced):
@@ -345,7 +348,9 @@ class _PromptLookup:
         n = len(tokens)
         at = self.bigram.get((tokens[-2], tokens[-1])) if n > 1 else None
         if at is None:
-            at = self.unigram.get(tokens[-1], n - 1)
+            at = self.unigram.get(tokens[-1])
+            if at is None:
+                return []
         out: list[int] = []
         for i in range(k):
             p = at + i
@@ -1329,10 +1334,6 @@ class BatchedEngine:
         self._eos = np.full(max_batch, -1, dtype=np.int64)
         self._budget = np.zeros(max_batch, dtype=np.int64)
         self._count = np.zeros(max_batch, dtype=np.int64)
-        #: Active slots carrying a step_bias hook / a top_k sampler; the
-        #: decode loop takes the pure-vectorised path when both are zero.
-        self._n_hooked = 0
-        self._n_sampled = 0
         #: Monotonic count of decode tokens produced by retired
         #: generation sequences — the observable the resume-determinism
         #: tests pin ("a journaled-DONE pair is never re-decoded").
@@ -1511,10 +1512,6 @@ class BatchedEngine:
         state.detached = table
         state.resume_ids = list(state.request.prompt_ids) + state.produced
         state.prefilled = resident
-        if state.request.step_bias is not None:
-            self._n_hooked -= 1
-        if state.request.top_k is not None:
-            self._n_sampled -= 1
         # Compact the fleet exactly like _retire, minus the finish: the
         # evicted slot's table is already detached, so move()'s
         # release(dst) is a no-op.
@@ -1761,20 +1758,12 @@ class BatchedEngine:
         self._eos[slot] = -1 if request.eos_id is None else request.eos_id
         self._budget[slot] = state.budget
         self._count[slot] = 0
-        if request.step_bias is not None:
-            self._n_hooked += 1
-        if request.top_k is not None:
-            self._n_sampled += 1
 
     def _retire(self, slot: int) -> None:
         """Finish ``slot``'s sequence and compact the fleet (swap-with-last)."""
         state = self._slots[slot]
         self._finished[state.seq_id] = state.produced
         self.total_generated_tokens += len(state.produced)
-        if state.request.step_bias is not None:
-            self._n_hooked -= 1
-        if state.request.top_k is not None:
-            self._n_sampled -= 1
         caches = self._caches
         # The retiring sequence's pages and reserved quota go back to the
         # shared free list before compaction moves the tail's block table
@@ -2055,8 +2044,10 @@ class BatchedEngine:
         """The decode fleet's feed for this step: ``(n_active, q)`` tokens.
 
         Column 0 is each row's last produced token; columns ``1..q-1``
-        are its prompt-lookup draft (filler for sampled rows, which keep
-        one token per step).  ``q = min(1 + _DRAFT_TOKENS, min_b(cap_b −
+        are its prompt-lookup draft, or filler (the last token again) for
+        a row without a draft and for sampled rows, which keep one token
+        per step.  A step where no greedy row has a draft runs ``q = 1``;
+        otherwise ``q = min(1 + _DRAFT_TOKENS, min_b(cap_b −
         lengths[b]))``, where ``cap_b`` is the columns of row ``b``'s
         reserved quota ``pages_for(prompt + budget)``, capped at
         ``max_seq_len``: every write stays inside the quota and every
@@ -2073,73 +2064,68 @@ class BatchedEngine:
         p = caches.page_tokens
         cap = np.minimum(-(-quota_tokens // p) * p, caches.max_seq_len)
         k = min(_DRAFT_TOKENS, int((cap - lengths).min()) - 1)
-        feed = []
+        last = []
+        drafts = []
         for b in range(n):
             state = slots[b]
-            last = state.produced[-1]
+            last.append(state.produced[-1])
             if state.request.top_k is not None:
-                feed.append([last] * (k + 1))
                 continue
             drafter = state.drafter
             if drafter is None:
                 drafter = state.drafter = _PromptLookup(state.request.prompt_ids)
-            feed.append([last, *drafter.draft(state.produced, k)])
-        return np.asarray(feed, dtype=np.int64).reshape(n, k + 1)
+            draft = drafter.draft(state.produced, k)
+            if draft:
+                drafts.append((b, draft))
+        if not drafts:
+            k = 0
+        feed = np.empty((n, k + 1), dtype=np.int64)
+        feed[:] = np.asarray(last, dtype=np.int64)[:, None]
+        for b, draft in drafts:
+            feed[b, 1:] = draft
+        return feed
 
     def _verify(self, logits: np.ndarray, feed: np.ndarray) -> list[int]:
         """Keep each decode row's agreeing draft prefix plus a bonus token.
 
         ``logits`` is ``(n, q, V)``: position ``i`` of row ``b`` predicts
-        the token after ``feed[b, i]``.  A row's token at position ``i``
-        is the greedy choice there (``logit_bias`` added), kept only if
-        every earlier position's choice equalled the draft fed after it
-        and was not EOS, and the row's budget has room — so each kept
-        token is exactly what one-token decode would have produced.
-        Rows with a ``step_bias`` hook or a ``top_k`` sampler go
-        position by position (:meth:`_verify_row`).
+        the token after ``feed[b, i]``.  Every row goes position by
+        position (:meth:`_verify_row`) with ``logit_bias`` added, so each
+        kept token is exactly what one-token decode would have produced.
         Advances produced tokens, counts and KV lengths; returns the rows
         that finished (EOS or budget), ascending.
         """
         n, per = feed.shape
         slots = self._slots
-        room = self._budget[:n] - self._count[:n]
         step = logits + self._bias[:n, None, :]
-        greedy = step.argmax(axis=-1)
-        eos = self._eos[:n]
-        agree = (greedy[:, :-1] == feed[:, 1:]) & (greedy[:, :-1] != eos[:, None])
-        kept = np.minimum(1 + np.cumprod(agree, axis=1).sum(axis=1), room).tolist()
-        # Draft positions a greedy row could keep (its budget permitting).
-        proposed = np.minimum(per - 1, room - 1)
-        rows = greedy.tolist()
-        special = self._n_hooked or self._n_sampled
-        feed_rows = feed.tolist() if special else None
+        feed_rows = feed.tolist()
+        kept = []
         last = []
+        proposed = 0
         for b in range(n):
             state = slots[b]
-            request = state.request
-            if special and (
-                request.step_bias is not None or request.top_k is not None
-            ):
-                kept[b] = self._verify_row(state, step[b], feed_rows[b])
-                if request.top_k is not None:
-                    proposed[b] = 0
-            else:
-                state.produced.extend(rows[b][: kept[b]])
+            if state.request.top_k is None:
+                # Draft positions this greedy row could keep, budget
+                # permitting.
+                proposed += min(per, state.budget - len(state.produced)) - 1
+            kept.append(self._verify_row(state, step[b], feed_rows[b]))
             last.append(state.produced[-1])
         accepted = np.asarray(kept, dtype=np.int64)
         self._count[:n] += accepted
         self._caches.advance(n, accepted)
         self.decode_steps += 1
-        self.draft_tokens_proposed += int(proposed.sum())
+        self.draft_tokens_proposed += proposed
         self.draft_tokens_accepted += int(accepted.sum()) - n
-        finished = (np.asarray(last) == eos) | (self._count[:n] >= self._budget[:n])
+        finished = (np.asarray(last) == self._eos[:n]) | (
+            self._count[:n] >= self._budget[:n]
+        )
         return np.flatnonzero(finished).tolist()
 
     @staticmethod
     def _verify_row(
         state: _SlotState, logits: np.ndarray, feed_row: list[int]
     ) -> int:
-        """Position-by-position acceptance for one hooked or sampled row.
+        """Position-by-position acceptance for one decode row.
 
         The row stops at its first mismatch, at EOS or at its budget.
         The hook sees ``produced`` with every token kept so far this step

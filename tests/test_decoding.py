@@ -1315,19 +1315,48 @@ def test_speculation_accepts_every_draft_on_a_copied_motif(model):
 
 
 def test_speculation_rejects_every_draft_on_novel_tokens(model):
-    def novel(produced, row):
-        # Every token is one the sequence has never seen, so no lookup
-        # can predict it.
+    def ascending(produced, row):
+        # The output counts up 100, 101, ...; each token already occurs
+        # in the prompt, but followed by its predecessor, so every
+        # lookup hits and every draft is wrong.
         row[100 + len(produced)] += 1e4
 
-    prompts = [MOTIF * 2, [5, 6, 7]]
-    requests = [GenerationRequest(p, 20, step_bias=novel) for p in prompts]
+    prompts = [list(range(140, 99, -1)), list(range(119, 99, -1))]
+    requests = [GenerationRequest(p, 20, step_bias=ascending) for p in prompts]
     expected = [_sequential_request(model, r) for r in requests]
     engine = BatchedEngine(model, max_batch=2)
     assert engine.generate(requests) == expected
     stats = engine.kv_stats()
     assert stats["decode_steps"] == 19      # one kept token per step
     assert stats["draft_tokens_proposed"] > 0
+    assert stats["draft_tokens_accepted"] == 0
+
+
+def test_speculation_feeds_one_token_when_no_row_has_a_draft(model):
+    """A step on which no greedy row's last bigram or last token occurred
+    before feeds q = 1: no filler-only positions are verified."""
+    def novel(produced, row):
+        # Every token is one the sequence has never seen.
+        row[100 + len(produced)] += 1e4
+
+    prompts = [MOTIF * 2, [5, 6, 7]]
+    requests = [GenerationRequest(p, 20, step_bias=novel) for p in prompts]
+    expected = [_sequential_request(model, r) for r in requests]
+    engine = BatchedEngine(model, max_batch=2)
+    widths = []
+    draft = engine._draft
+
+    def spy():
+        feed = draft()
+        widths.append(feed.shape[1])
+        return feed
+
+    engine._draft = spy
+    assert engine.generate(requests) == expected
+    assert set(widths) == {1}
+    stats = engine.kv_stats()
+    assert stats["decode_steps"] == 19
+    assert stats["draft_tokens_proposed"] == 0
     assert stats["draft_tokens_accepted"] == 0
 
 
