@@ -23,8 +23,8 @@ The same schedule is reachable from the environment
 
 The **network layer** gets the same treatment: a
 :class:`NetworkFaultPlan` schedules one :class:`ConnectionFault` per
-TCP connection (reset mid-response, truncated body, slow-loris stall,
-synthesized 503 burst), and a seeded in-process
+HTTP request/response exchange (reset mid-response, truncated body,
+slow-loris stall, synthesized 503 burst), and a seeded in-process
 :class:`FaultyProxy` sits between an HTTP client and the revision
 front-end executing the schedule on real sockets.
 ``tests/test_fuzz_network.py`` drives
@@ -38,6 +38,9 @@ with token parity.  Env knobs for live drills:
 
 from __future__ import annotations
 
+import email.message
+import http.client
+import io
 import os
 import socket
 import struct
@@ -218,7 +221,8 @@ NET_FAULT_KINDS = (
 
 @dataclass(frozen=True)
 class ConnectionFault:
-    """What happens to one TCP connection through the faulty proxy.
+    """What happens to one exchange (and so its TCP connection) through
+    the faulty proxy.  Every fault kind ends the connection.
 
     ``after_bytes`` counts *response* bytes relayed before the fault
     fires — ``0`` hits the very first response byte (the client sees a
@@ -253,13 +257,17 @@ class ConnectionFault:
 
 @dataclass(frozen=True)
 class NetworkFaultPlan:
-    """A per-connection failure schedule, reproducible from its seed.
+    """A per-request failure schedule, reproducible from its seed.
 
-    ``connections`` maps the proxy's connection ordinal (0-based, in
-    accept order) → the fault that connection suffers; absent ordinals
-    relay cleanly.  A single-connection-per-request client (like
-    :class:`~repro.serving.httpclient.RevisionHTTPClient`) therefore
-    sees a deterministic fault sequence for a given seed.
+    ``connections`` maps the proxy's *exchange* ordinal — 0-based,
+    counting request/response exchanges in the order their requests
+    arrive, across every connection — → the fault that exchange
+    suffers; absent ordinals relay cleanly.  ``{0: fault}`` therefore
+    hits the first request, whether it opened a connection or reused a
+    kept-alive one, and a sequential client (like
+    :class:`~repro.serving.httpclient.RevisionHTTPClient`) sees a
+    deterministic fault sequence for a given seed.  (The names predate
+    keep-alive, when every request had its own connection.)
     """
 
     seed: int = 0
@@ -286,7 +294,7 @@ class NetworkFaultPlan:
     ) -> "NetworkFaultPlan":
         """Draw one reproducible schedule: same seed, same faults.
 
-        Each of the first ``n_connections`` connections independently
+        Each of the first ``n_connections`` exchanges independently
         suffers a fault with probability ``p_fault``; kinds are drawn
         uniformly and ``after_bytes`` lands anywhere from the status
         line (0) to deep in the body (``max_after_bytes``).
@@ -309,7 +317,11 @@ class NetworkFaultPlan:
     def from_env(
         cls, environ: dict[str, str] | None = None
     ) -> "NetworkFaultPlan | None":
-        """Build a plan from ``REPRO_FAULT_NET_*`` vars; ``None`` if unset."""
+        """Build a plan from ``REPRO_FAULT_NET_*`` vars; ``None`` if unset.
+
+        ``REPRO_FAULT_NET_CONN`` is the exchange ordinal (default 0, the
+        first request) that suffers ``REPRO_FAULT_NET_KIND``.
+        """
         env = os.environ if environ is None else environ
         kind = env.get("REPRO_FAULT_NET_KIND")
         if not kind:
@@ -346,10 +358,12 @@ class FaultyProxy:
     """Seeded in-process TCP proxy injecting faults on real sockets.
 
     Sits between an HTTP client and the revision front-end: every
-    accepted connection is relayed byte-for-byte to
-    ``(upstream_host, upstream_port)`` unless its
-    :class:`ConnectionFault` says otherwise.  Faults execute at the
-    socket layer — an injected ``reset`` is a genuine TCP RST, a
+    accepted connection is relayed to ``(upstream_host, upstream_port)``
+    one exchange at a time — a request head and its ``Content-Length``
+    body, then the response (``Content-Length`` framed, or to EOF) —
+    unless the exchange's :class:`ConnectionFault` says otherwise, so a
+    kept-alive connection carries many exchanges and each can fault.
+    Faults execute at the socket layer — an injected ``reset`` is a genuine TCP RST, a
     ``truncate`` a genuine early FIN — so the client under test
     exercises the exact error paths a flaky network produces, not
     mocked exceptions.  ``port=0`` binds an ephemeral port; read
@@ -369,7 +383,11 @@ class FaultyProxy:
         self.plan = plan if plan is not None else NetworkFaultPlan()
         self._listener = socket.create_server((host, port))
         self._listener.settimeout(0.2)
+        #: TCP connections accepted, request/response exchanges begun,
+        #: and planned faults actually injected.
         self.connections_seen = 0
+        self.exchanges_seen = 0
+        self.faults_fired = 0
         self._lock = threading.Lock()
         self._stopping = threading.Event()
         self._thread: threading.Thread | None = None
@@ -414,42 +432,53 @@ class FaultyProxy:
             with self._lock:
                 ordinal = self.connections_seen
                 self.connections_seen += 1
-            fault = self.plan.for_connection(ordinal) or ConnectionFault()
             threading.Thread(
                 target=self._handle,
-                args=(client, fault),
+                args=(client,),
                 name=f"faulty-proxy-conn-{ordinal}",
                 daemon=True,
             ).start()
 
-    def _handle(self, client: socket.socket, fault: ConnectionFault) -> None:
+    def _handle(self, client: socket.socket) -> None:
+        """Relay one client connection, one request/response exchange at
+        a time, until either side ends it or a fault does."""
         client.settimeout(30.0)
-        if fault.kind == "reject":
-            self._reject(client, fault)
-            return
+        requests = _SocketReader(client)
+        upstream: _SocketReader | None = None
         try:
-            upstream = socket.create_connection(self.upstream, timeout=30.0)
+            while True:
+                head = requests.head()
+                if not head:
+                    return  # the client closed between requests
+                body = requests.exactly(_content_length(head) or 0)
+                with self._lock:
+                    ordinal = self.exchanges_seen
+                    self.exchanges_seen += 1
+                fault = self.plan.for_connection(ordinal) or ConnectionFault()
+                if fault.kind == "reject":
+                    self._reject(client, fault)
+                    return
+                if upstream is None:
+                    upstream = _SocketReader(
+                        socket.create_connection(self.upstream, timeout=30.0)
+                    )
+                upstream.sock.sendall(head + body)
+                if not self._relay_response(upstream, client, fault):
+                    return
         except OSError:
             _abort_socket(client)
-            return
-        request_pump = threading.Thread(
-            target=self._pump_request,
-            args=(client, upstream),
-            daemon=True,
-        )
-        request_pump.start()
-        self._pump_response(upstream, client, fault)
+        finally:
+            if upstream is not None:
+                upstream.sock.close()
+            client.close()
+
+    def _fired(self) -> None:
+        with self._lock:
+            self.faults_fired += 1
 
     def _reject(self, client: socket.socket, fault: ConnectionFault) -> None:
         """Synthesize an overload burst without touching the upstream."""
-        try:
-            # Drain the request first: closing with unread bytes in the
-            # receive buffer sends an RST that can destroy the 503 before
-            # the client reads it — we want the Retry-After delivered.
-            client.settimeout(1.0)
-            client.recv(1 << 16)
-        except OSError:
-            pass
+        self._fired()
         body = b'{"error": "injected 503 (network fault plan)"}'
         head = (
             "HTTP/1.1 503 Service Unavailable\r\n"
@@ -459,62 +488,96 @@ class FaultyProxy:
             "Connection: close\r\n"
             "\r\n"
         ).encode("ascii")
-        try:
-            client.sendall(head + body)
-        except OSError:
-            pass
-        client.close()
+        client.sendall(head + body)
 
-    def _pump_request(
-        self, client: socket.socket, upstream: socket.socket
-    ) -> None:
-        """Relay client → upstream until the client stops sending."""
-        try:
-            while True:
-                data = client.recv(4096)
-                if not data:
-                    break
-                upstream.sendall(data)
-            upstream.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
-
-    def _pump_response(
+    def _relay_response(
         self,
-        upstream: socket.socket,
+        upstream: "_SocketReader",
         client: socket.socket,
         fault: ConnectionFault,
-    ) -> None:
-        """Relay upstream → client, firing the fault at ``after_bytes``."""
-        sent = 0
-        try:
-            while True:
-                data = upstream.recv(4096)
-                if not data:
-                    break
-                if fault.kind in ("reset", "truncate", "stall", "stream_reset"):
-                    budget = fault.after_bytes - sent
-                    if budget < len(data):
-                        head = data[:max(0, budget)]
-                        if head:
-                            client.sendall(head)
-                            sent += len(head)
-                        if fault.kind in ("reset", "stream_reset"):
-                            _abort_socket(client)
-                        elif fault.kind == "truncate":
-                            client.close()
-                        else:  # stall: withhold bytes until the client quits
-                            time.sleep(fault.stall_s)
-                            _abort_socket(client)
-                        upstream.close()
-                        return
-                client.sendall(data)
-                sent += len(data)
-            client.close()
-        except OSError:
-            pass
-        finally:
-            try:
-                upstream.close()
-            except OSError:
-                pass
+    ) -> bool:
+        """Relay one response, firing ``fault`` at its ``after_bytes``-th
+        byte; True when the connection carries another exchange."""
+        head = upstream.head()
+        if not head:
+            return False  # the upstream closed the idle connection
+        length = _content_length(head)
+        remaining = -1 if length is None else length  # -1: until EOF
+        chunk, sent = head, 0
+        while True:
+            budget = fault.after_bytes - sent
+            if fault.kind in _TEARING_KINDS and budget < len(chunk):
+                self._fired()
+                if budget > 0:
+                    client.sendall(chunk[:budget])
+                if fault.kind == "truncate":
+                    client.close()
+                else:
+                    if fault.kind == "stall":
+                        # Withhold the rest until the client gives up.
+                        time.sleep(fault.stall_s)
+                    _abort_socket(client)
+                return False
+            client.sendall(chunk)
+            sent += len(chunk)
+            if remaining == 0:
+                return _headers(head).get("Connection", "").lower() != "close"
+            chunk = upstream.some(4096 if remaining < 0 else remaining)
+            if not chunk:
+                return False  # the end of an EOF-delimited (SSE) body
+            if remaining > 0:
+                remaining -= len(chunk)
+
+
+#: Faults that tear a relayed response at ``after_bytes``.
+_TEARING_KINDS = ("reset", "truncate", "stall", "stream_reset")
+
+
+class _SocketReader:
+    """Buffered reads straight off a socket.
+
+    Not ``socket.makefile``: an open file object keeps the descriptor
+    alive past ``close()``, so an injected abort would send no RST.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = b""
+
+    def _fill(self) -> bool:
+        data = self.sock.recv(4096)
+        self.buffer += data
+        return bool(data)
+
+    def head(self) -> bytes:
+        """One HTTP message head through its blank line; ``b""`` at EOF."""
+        while b"\r\n\r\n" not in self.buffer:
+            if not self._fill():
+                return b""
+        end = self.buffer.index(b"\r\n\r\n") + 4
+        head, self.buffer = self.buffer[:end], self.buffer[end:]
+        return head
+
+    def some(self, limit: int) -> bytes:
+        """Up to ``limit`` bytes as soon as any arrive; ``b""`` at EOF."""
+        if not self.buffer:
+            self._fill()
+        data, self.buffer = self.buffer[:limit], self.buffer[limit:]
+        return data
+
+    def exactly(self, n: int) -> bytes:
+        while len(self.buffer) < n:
+            if not self._fill():
+                raise ConnectionError("peer closed mid-message")
+        data, self.buffer = self.buffer[:n], self.buffer[n:]
+        return data
+
+
+def _headers(head: bytes) -> email.message.Message:
+    """The header fields of a raw message head (after its start line)."""
+    return http.client.parse_headers(io.BytesIO(head.partition(b"\r\n")[2]))
+
+
+def _content_length(head: bytes) -> int | None:
+    value = _headers(head).get("Content-Length")
+    return None if value is None else int(value)

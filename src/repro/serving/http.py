@@ -3,7 +3,10 @@
 A thin :class:`ThreadingHTTPServer` adapter — each connection is handled
 on its own thread, submits into the shared service and blocks on its
 future, so concurrency is bounded by the serving queue and engine, not
-by HTTP.  The service may be a single-process
+by HTTP.  The front-end speaks HTTP/1.1 with ``TCP_NODELAY``: a
+connection stays open across requests until the client sends
+``Connection: close``, idles past ``handler_timeout_s``, or the
+front-end stops.  The service may be a single-process
 :class:`~repro.serving.server.RevisionServer` or a multi-process
 :class:`~repro.serving.fleet.EngineFleet`; both expose the same
 ``submit`` / ``metrics_snapshot`` / ``health`` protocol.  Endpoints:
@@ -48,13 +51,23 @@ by HTTP.  The service may be a single-process
 front-end into drain mode — new ``POST /revise`` requests are refused
 with ``503`` + ``Retry-After`` while the requests already being handled
 run to completion — and returns once the last in-flight request has
-been answered.  Monitoring endpooints keep answering throughout, so
+been answered.  Monitoring endpoints keep answering throughout, so
 orchestrators watch the drain finish before SIGTERM turns into SIGKILL.
+
+**Connection reuse**: a reply sent before the request body was read
+carries ``Connection: close`` and ends the connection, so unread body
+bytes are never parsed as the next request.  Those replies are the two
+draining ``503`` replies, ``404`` for an unknown ``POST`` path, ``413``,
+``400`` for a malformed or missing ``Content-Length`` (a chunked upload
+has none), and ``408``.  SSE streams also close at their end.
+:meth:`RevisionHTTPFrontend.stop` ends every connection: idle ones
+close at once, and one mid-request closes right after its reply.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -74,14 +87,29 @@ def _make_handler(
 
     class RevisionHandler(BaseHTTPRequestHandler):
         server_version = "CoachLMRevision/1.0"
+        #: Persistent connections: one TCP connection carries a client's
+        #: requests until either side says ``Connection: close``.
+        protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
         #: Socket timeout for every read on the connection — a slow-loris
-        #: client (bytes trickling in, or none at all) cannot pin a
-        #: handler thread forever.  ``socketserver`` applies this via
-        #: ``connection.settimeout`` in ``setup()``.
+        #: client (bytes trickling in, or none at all) or an abandoned
+        #: kept-alive connection cannot pin a handler thread forever.
+        #: ``socketserver`` applies this via ``connection.settimeout`` in
+        #: ``setup()``.
         timeout = handler_timeout_s
 
         def log_message(self, *args: object) -> None:  # silence stderr
             pass
+
+        def setup(self) -> None:
+            super().setup()
+            self._busy = False
+            if not frontend._mark_idle(self):
+                _shutdown_socket(self.connection)  # accepted as stop() began
+
+        def finish(self) -> None:
+            frontend._forget(self)
+            super().finish()
 
         def handle(self) -> None:
             # A peer that vanished (RST mid-request) or stalled past the
@@ -92,12 +120,32 @@ def _make_handler(
             except (ConnectionError, TimeoutError):
                 self.close_connection = True
 
+        def parse_request(self) -> bool:
+            if not super().parse_request():
+                return False
+            # A request that arrives once stop() began is never served.
+            self._busy = frontend._mark_busy(self)
+            if not self._busy:
+                self.close_connection = True
+            return self._busy
+
+        def handle_one_request(self) -> None:
+            try:
+                super().handle_one_request()
+            finally:
+                if self._busy and not frontend._mark_idle(self):
+                    self.close_connection = True
+                self._busy = False
+
         def _reply(
             self,
             status: int,
             payload: dict,
             headers: dict[str, str] | None = None,
+            close: bool = False,
         ) -> None:
+            """Send one JSON reply; ``close`` ends the connection after it
+            (required whenever the request body was left unread)."""
             body = json.dumps(payload, sort_keys=True).encode("utf-8")
             try:
                 self.send_response(status)
@@ -105,6 +153,9 @@ def _make_handler(
                 self.send_header("Content-Length", str(len(body)))
                 for name, value in (headers or {}).items():
                     self.send_header(name, value)
+                if close:
+                    # send_header also sets close_connection.
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(body)
             except (ConnectionError, BrokenPipeError, TimeoutError):
@@ -127,23 +178,20 @@ def _make_handler(
                 self._reply(404, {"error": f"unknown path {self.path!r}"})
 
         def do_POST(self) -> None:
+            # Every refusal before the body is read closes the connection.
             if self.path not in ("/revise", "/score"):
-                self._reply(404, {"error": f"unknown path {self.path!r}"})
+                self._reply(
+                    404, {"error": f"unknown path {self.path!r}"}, close=True
+                )
                 return
-            if frontend.draining:
+            if frontend.draining or not frontend.track_request():
                 # Refuse before reading the body: a draining front-end
                 # spends no work on requests it will not serve.
                 self._reply(
                     503,
                     {"error": "service is draining"},
                     headers={"Retry-After": frontend.retry_after_header},
-                )
-                return
-            if not frontend.track_request():
-                self._reply(
-                    503,
-                    {"error": "service is draining"},
-                    headers={"Retry-After": frontend.retry_after_header},
+                    close=True,
                 )
                 return
             try:
@@ -153,14 +201,17 @@ def _make_handler(
 
         def _handle_submit(self, scoring: bool) -> None:
             try:
-                length = int(self.headers.get("Content-Length", "0"))
+                length = int(self.headers.get("Content-Length", ""))
             except ValueError:
-                self._reply(400, {"error": "malformed Content-Length"})
-                return
-            if length < 0:
-                # A negative length would turn rfile.read into a
-                # read-to-EOF that blocks the handler thread forever.
-                self._reply(400, {"error": "malformed Content-Length"})
+                length = -1
+            if length < 0 or "Transfer-Encoding" in self.headers:
+                # The body's extent is unknown — the length is missing (a
+                # chunked upload has none), not a number, or negative
+                # (rfile.read would read to EOF and pin the handler
+                # thread) — so the body stays unread.
+                self._reply(
+                    400, {"error": "malformed Content-Length"}, close=True
+                )
                 return
             if length > max_body_bytes:
                 # Reject before reading: an oversized body never buffers.
@@ -172,6 +223,7 @@ def _make_handler(
                             f"{max_body_bytes}-byte limit"
                         )
                     },
+                    close=True,
                 )
                 return
             try:
@@ -188,8 +240,8 @@ def _make_handler(
                             f"{handler_timeout_s}s"
                         )
                     },
+                    close=True,
                 )
-                self.close_connection = True
                 return
             try:
                 blob = json.loads(raw or b"")
@@ -402,6 +454,14 @@ def _make_handler(
     return RevisionHandler
 
 
+def _shutdown_socket(sock: socket.socket) -> None:
+    """Wake the handler blocked reading ``sock``: its read sees EOF."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed by its handler
+
+
 def _retry_after(seconds: float) -> str:
     """Retry-After is an integer header; round up so 0.5s never becomes
     an immediate (0-second) retry stampede."""
@@ -421,7 +481,8 @@ class RevisionHTTPFrontend:
     is the per-connection socket timeout: a client that stalls
     mid-request gets ``408`` (announced body never arrived) or a closed
     connection (headers never arrived) instead of a pinned handler
-    thread.  Use as a context manager or call :meth:`start`/:meth:`stop`.
+    thread, and a kept-alive connection idle for that long is closed.
+    Use as a context manager or call :meth:`start`/:meth:`stop`.
     """
 
     def __init__(
@@ -438,7 +499,11 @@ class RevisionHTTPFrontend:
         self.draining = False
         self.drain_retry_after_s = drain_retry_after_s
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
+        self._lock = threading.Lock()
+        #: Set by :meth:`stop`; from then on no connection starts a request.
+        self._closing = False
+        #: Handlers of open connections waiting for their next request.
+        self._idle: set[BaseHTTPRequestHandler] = set()
         self.httpd = ThreadingHTTPServer(
             (host, port),
             _make_handler(
@@ -463,20 +528,45 @@ class RevisionHTTPFrontend:
 
     @property
     def inflight_requests(self) -> int:
-        with self._inflight_lock:
+        with self._lock:
             return self._inflight
 
     def track_request(self) -> bool:
         """Count one ``POST /revise`` as in flight; False once draining."""
-        with self._inflight_lock:
+        with self._lock:
             if self.draining:
                 return False
             self._inflight += 1
             return True
 
     def untrack_request(self) -> None:
-        with self._inflight_lock:
+        with self._lock:
             self._inflight -= 1
+
+    # -- connection lifecycle ------------------------------------------------------
+    # A connection is idle (in ``_idle``) between requests and busy while
+    # one is handled.  stop() shuts idle sockets down and refuses every
+    # request not yet started, so an orphaned handler thread never serves.
+    def _mark_idle(self, handler: BaseHTTPRequestHandler) -> bool:
+        """Track the connection as idle; False (close it) once stopping."""
+        with self._lock:
+            if self._closing:
+                return False
+            self._idle.add(handler)
+            return True
+
+    def _mark_busy(self, handler: BaseHTTPRequestHandler) -> bool:
+        """Track the connection as mid-request; False (refuse the
+        request) once stopping."""
+        with self._lock:
+            if self._closing:
+                return False
+            self._idle.discard(handler)
+            return True
+
+    def _forget(self, handler: BaseHTTPRequestHandler) -> None:
+        with self._lock:
+            self._idle.discard(handler)
 
     def drain(self, timeout_s: float = 60.0) -> bool:
         """Enter drain mode and wait for in-flight requests to complete.
@@ -487,7 +577,7 @@ class RevisionHTTPFrontend:
         been answered (False if ``timeout_s`` elapsed first — the
         caller decides whether to hard-stop anyway).
         """
-        with self._inflight_lock:
+        with self._lock:
             self.draining = True
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
@@ -509,8 +599,18 @@ class RevisionHTTPFrontend:
         return self
 
     def stop(self) -> None:
+        """Stop serving and end every connection, then stop the service.
+
+        Idle kept-alive connections close at once; a request already
+        being handled still gets its reply, then its connection closes.
+        """
         if self._thread is None:
             return
+        with self._lock:
+            self._closing = True
+            idle = list(self._idle)
+        for handler in idle:
+            _shutdown_socket(handler.connection)
         self.httpd.shutdown()
         self.httpd.server_close()
         self._thread.join()

@@ -25,6 +25,20 @@ flaky network demands:
   underlying error as ``__cause__``.  Client errors (400/404/413) are
   never retried — retrying a malformed request cannot fix it.
 
+**Persistent connections** — the client keeps its HTTP/1.1 connection
+open and reuses it after every cleanly read response that does not say
+``Connection: close``; any other failure drops it.  A thread checks the
+connection out for its request, so threads sharing one client never
+write to one socket (a thread finding none free opens its own).  A
+*reused* connection may have been closed by the server while idle: a
+request that fails on one before any response byte arrives
+(``RemoteDisconnected``, ``BrokenPipeError``, ``ConnectionResetError``
+or ``ConnectionAbortedError`` from the send or the status-line read) is
+resent once, at once, on a fresh connection — inside the same attempt,
+with no backoff and no retry counted.  :meth:`RevisionHTTPClient.close`
+(or ``with``) releases kept connections; ``stream_revise`` uses its own
+connection, closed at the end of the stream.
+
 Retries are **at-least-once** on the wire — a reset after the server
 read the request means the work happens even though the reply was lost.
 The service makes the composition effectively **exactly-once**: results
@@ -45,6 +59,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from urllib.parse import urlsplit
 
@@ -62,6 +77,25 @@ from .requests import SOURCE_JOURNAL, RevisionResult
 RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
 #: Statuses that honor ``Retry-After`` when the server sends one.
 RETRY_AFTER_STATUSES = frozenset({429, 503})
+
+
+#: Failures of a *reused* connection before any response byte arrived:
+#: the server closed it while idle, so the request is resent for free.
+#: (``http.client.RemoteDisconnected`` is a ``ConnectionResetError``.)
+_STALE_ERRORS = (
+    http.client.RemoteDisconnected,
+    BrokenPipeError,
+    ConnectionResetError,
+    ConnectionAbortedError,
+)
+
+
+def _exchange(
+    conn: http.client.HTTPConnection, path: str, body: bytes
+) -> http.client.HTTPResponse:
+    """Send one POST and read its status line and headers."""
+    conn.request("POST", path, body, {"Content-Type": "application/json"})
+    return conn.getresponse()
 
 
 def _parse_retry_after(value: str | None) -> float | None:
@@ -85,9 +119,9 @@ class RevisionHTTPClient:
     dashboard, or leave the default for a private collector.  ``seed``
     makes the jittered backoff reproducible (fuzz harnesses pin it).
 
-    Each attempt uses a fresh connection: retry semantics stay trivial
-    (no half-poisoned keep-alive streams) and fault injection can
-    reason per-connection.
+    Non-streamed requests reuse kept-alive connections (see the module
+    docstring for the reuse and stale-resend rules); :meth:`close`, or
+    leaving a ``with`` block, closes the idle ones.
     """
 
     def __init__(
@@ -112,6 +146,28 @@ class RevisionHTTPClient:
         self.backoff_cap_s = backoff_cap_s
         self.metrics = metrics if metrics is not None else ServingMetrics()
         self._rng = np.random.default_rng(seed)
+        #: Kept-alive connections no thread has checked out.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+
+    # -- connections ---------------------------------------------------------------
+    def _connect(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            self._host, self._port, timeout=self.timeout_s
+        )
+
+    def close(self) -> None:
+        """Close the kept-alive connections (the client stays usable)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "RevisionHTTPClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # -- one request with retries ------------------------------------------------
     def _backoff_s(self, attempt: int) -> float:
@@ -121,18 +177,31 @@ class RevisionHTTPClient:
 
     def _attempt(self, path: str, body: bytes) -> tuple[int, str | None, bytes]:
         """One HTTP round trip → (status, retry_after_header, raw_body)."""
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout_s
-        )
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
         try:
-            conn.request(
-                "POST", path, body, {"Content-Type": "application/json"}
-            )
-            response = conn.getresponse()
+            if conn is None:
+                conn = self._connect()
+                response = _exchange(conn, path, body)
+            else:
+                try:
+                    response = _exchange(conn, path, body)
+                except _STALE_ERRORS:
+                    # The server closed the idle connection: resend once
+                    # on a fresh one, free of the retry discipline.
+                    conn.close()
+                    conn = self._connect()
+                    response = _exchange(conn, path, body)
             raw = response.read()
-            return response.status, response.getheader("Retry-After"), raw
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return response.status, response.getheader("Retry-After"), raw
 
     def _request(self, path: str, payload: dict) -> dict:
         """POST with the full retry discipline; returns the 200 payload."""
@@ -207,9 +276,7 @@ class RevisionHTTPClient:
             {**self._pair_payload(pair), "stream": True, "priority": priority},
             sort_keys=True,
         ).encode("utf-8")
-        conn = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout_s
-        )
+        conn = self._connect()
         try:
             try:
                 conn.request(

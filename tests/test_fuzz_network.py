@@ -24,7 +24,11 @@ Scenarios are generated from ``seed = REPRO_FUZZ_SEED + index``; a
 failure prints the exact one-scenario reproduction command.  The CI leg
 (``REPRO_FUZZ_NETWORK=on``) runs the full budget
 (``REPRO_NETWORK_SCENARIOS``, default 30); a plain pytest run keeps a
-4-scenario smoke so the harness never rots.
+4-scenario smoke so the harness never rots.  A run of ten or more
+scenarios also checks that the planned faults still fire
+(``test_fuzz_leg_keeps_fault_coverage``): the proxy keys faults by
+request/response exchange, so the client's kept-alive connections
+cannot route a scenario around its plan.
 """
 
 from __future__ import annotations
@@ -58,6 +62,12 @@ _N_SCENARIOS = int(
 )
 MASTER_SEED = int(os.environ.get("REPRO_FUZZ_SEED", "20240311"))
 
+#: The CI leg's corpus (master seed, scenarios) and the planned faults it
+#: injected when every request had its own connection, keyed by TCP
+#: connection: 164 of 243.
+_CI_CORPUS = (20240311, 30)
+_CI_CORPUS_FIRED = 164
+
 #: At most this many journal-resumed rounds through the faulty proxy
 #: before the final round goes direct — guarantees termination.
 _MAX_FAULTY_ROUNDS = 3
@@ -83,6 +93,12 @@ def pairs():
 
 
 @pytest.fixture(scope="module")
+def fault_ledger():
+    """Scenarios run and planned faults injected, summed over this run."""
+    return {"scenarios": 0, "planned": 0, "fired": 0}
+
+
+@pytest.fixture(scope="module")
 def reference(coach, pairs):
     return [coach.revise_pair(pair) for pair in pairs]
 
@@ -92,8 +108,8 @@ def clean_engine_tokens(coach, pairs):
     """Decode tokens a clean served run spends — the exactly-once bar."""
     server = RevisionServer(coach, ServingConfig(max_batch=4))
     with RevisionHTTPFrontend(server) as frontend:
-        client = RevisionHTTPClient(frontend.address, timeout_s=30.0)
-        client.revise_pairs(pairs)
+        with RevisionHTTPClient(frontend.address, timeout_s=30.0) as client:
+            client.revise_pairs(pairs)
     return server.metrics.engine_tokens
 
 
@@ -131,7 +147,8 @@ def _kill_child_midrun(proxy_address, pairs, journal_path, seed, kill_after):
 
 @pytest.mark.parametrize("scenario_index", range(_N_SCENARIOS))
 def test_network_fault_schedule_preserves_invariants(
-    scenario_index, coach, pairs, reference, clean_engine_tokens, tmp_path
+    scenario_index, coach, pairs, reference, clean_engine_tokens,
+    fault_ledger, tmp_path,
 ):
     seed = MASTER_SEED + scenario_index
     repro_hint = (
@@ -171,22 +188,27 @@ def test_network_fault_schedule_preserves_invariants(
                 seed=seed,
             )
             results = None
-            for _round in range(_MAX_FAULTY_ROUNDS):
-                try:
-                    with RunJournal(journal_path) as journal:
-                        results = client.revise_pairs(pairs, journal=journal)
-                    break
-                except RetryBudgetExceededError:
-                    # Typed give-up: the journal holds the finished
-                    # prefix; the next round resumes, never redoes.
-                    give_ups += 1
+            with client:
+                for _round in range(_MAX_FAULTY_ROUNDS):
+                    try:
+                        with RunJournal(journal_path) as journal:
+                            results = client.revise_pairs(
+                                pairs, journal=journal
+                            )
+                        break
+                    except RetryBudgetExceededError:
+                        # Typed give-up: the journal holds the finished
+                        # prefix; the next round resumes, never redoes.
+                        give_ups += 1
+        fault_ledger["scenarios"] += 1
+        fault_ledger["planned"] += plan.n_faulty
+        fault_ledger["fired"] += proxy.faults_fired
         if results is None:
             # Pathological schedule: finish the tail on a clean path,
             # still resuming from the same journal.
-            direct = RevisionHTTPClient(
+            with RevisionHTTPClient(
                 frontend.address, timeout_s=30.0, metrics=metrics, seed=seed
-            )
-            with RunJournal(journal_path) as journal:
+            ) as direct, RunJournal(journal_path) as journal:
                 results = direct.revise_pairs(pairs, journal=journal)
 
         # -- exactly-once, parity, bounded give-up -----------------------------
@@ -214,3 +236,17 @@ def test_network_fault_schedule_preserves_invariants(
             )
         assert replay.pairs_skipped == len(pairs), repro_hint
         assert not replay.interrupted, repro_hint
+
+
+def test_fuzz_leg_keeps_fault_coverage(fault_ledger):
+    """Kept-alive connections still meet the planned faults.
+
+    The proxy keys faults by request/response exchange, so reuse cannot
+    let one clean connection carry a whole scenario.  Runs after the
+    scenarios above; fewer than ten scenarios skip the check.
+    """
+    if fault_ledger["scenarios"] < 10:
+        pytest.skip(f"only {fault_ledger['scenarios']} fuzz scenarios ran")
+    assert fault_ledger["fired"] >= 0.6 * fault_ledger["planned"], fault_ledger
+    if (MASTER_SEED, _N_SCENARIOS) == _CI_CORPUS:
+        assert fault_ledger["fired"] >= _CI_CORPUS_FIRED, fault_ledger

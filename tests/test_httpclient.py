@@ -4,13 +4,18 @@ Each test injects one specific network failure (via
 :class:`~repro.serving.faults.FaultyProxy` on real sockets, or raw
 socket surgery against the front-end) and pins the client's exact
 response: which errors retry, which give up typed, which fail fast, and
-what the server answers a stalled or vanished peer.
-Randomised schedules live in ``tests/test_fuzz_network.py``.
+what the server answers a stalled or vanished peer.  The
+persistent-connection tests pin reuse across requests, the free resend
+after the server closed an idle connection, ``stop()`` ending held
+connections, ``Connection: close`` after an unread body, and per-thread
+connection checkout.  Randomised schedules live in
+``tests/test_fuzz_network.py``.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import numpy as np
@@ -295,6 +300,117 @@ def test_server_survives_peer_vanishing_mid_reply(coach, dataset):
         result = client.revise_pair(dataset[1])
         assert result.outcome
         assert server.metrics.duplicate_results == 0
+
+
+# -- persistent connections ----------------------------------------------------------
+
+
+def test_sequential_requests_share_one_connection(coach, dataset, frontend):
+    host, port = _upstream(frontend)
+    pairs = [dataset[i % len(dataset)] for i in range(10)]
+    with FaultyProxy(host, port) as proxy:
+        with _client(proxy.address) as client:
+            results = client.revise_pairs(pairs)
+    assert proxy.connections_seen == 1
+    assert proxy.exchanges_seen == 10
+    assert [r.pair.response for r in results] == [
+        coach.revise_pair(pair)[0].response for pair in pairs
+    ]
+
+
+def test_idle_connection_closed_by_server_is_resent_free(coach, dataset):
+    """The server times out a kept-alive connection between requests;
+    the next request resends on a fresh one inside the same attempt."""
+    server = RevisionServer(coach, ServingConfig(max_batch=2))
+    with RevisionHTTPFrontend(server, handler_timeout_s=0.2) as fe:
+        with _client(fe.address, max_attempts=1) as client:
+            client.revise_pair(dataset[0])
+            time.sleep(0.6)  # past handler_timeout_s: the server hung up
+            result = client.revise_pair(dataset[1])
+    assert result.outcome
+    assert client.metrics.retries == 0
+    assert client.metrics.gave_up == 0
+
+
+def test_stop_ends_kept_alive_connections(coach, dataset):
+    """After stop() a held connection never carries another request: the
+    client gives up on connection errors, not with a served result."""
+    server = RevisionServer(coach, ServingConfig(max_batch=2))
+    fe = RevisionHTTPFrontend(server).start()
+    client = _client(fe.address, max_attempts=3)
+    client.revise_pair(dataset[0])
+    fe.stop()
+    started = time.monotonic()
+    with pytest.raises(RetryBudgetExceededError) as excinfo:
+        client.revise_pair(dataset[0])  # a cache hit, were it served
+    assert time.monotonic() - started < 1.0
+    assert isinstance(excinfo.value.__cause__, ConnectionError)
+    client.close()
+
+
+def test_draining_503_closes_then_clean_200(dataset, frontend):
+    """A 503 sent before the body was read ends the connection, so the
+    unread body is never parsed as the next request."""
+    with _client(frontend.address, max_attempts=1) as client:
+        client.revise_pair(dataset[0])
+        assert frontend.drain(timeout_s=10.0)
+        with pytest.raises(RetryBudgetExceededError):
+            client.revise_pair(dataset[1])
+        frontend.draining = False  # the drain lifts
+        result = client.revise_pair(dataset[1])
+    assert result.outcome
+
+
+def test_chunked_upload_is_refused_and_closed(frontend):
+    """No Content-Length: the body's extent is unknown, so the 400 ends
+    the connection rather than leave chunks to parse as a request."""
+    import http.client
+
+    host, port = _upstream(frontend)
+    conn = http.client.HTTPConnection(host, port, timeout=5)
+    try:
+        conn.request(
+            "POST", "/revise", iter([b'{"instruction": "a"}']),
+            encode_chunked=True,
+        )
+        response = conn.getresponse()
+        assert response.status == 400
+        assert response.getheader("Connection") == "close"
+        assert b"Content-Length" in response.read()
+    finally:
+        conn.close()
+
+
+def test_threads_sharing_a_client_never_share_a_socket(
+    coach, dataset, frontend
+):
+    pairs = list(dataset)
+    expected = {
+        pair.pair_id: coach.revise_pair(pair)[0].response for pair in pairs
+    }
+    got: dict[int, list] = {}
+
+    def run(index: int) -> None:
+        order = pairs if index == 0 else pairs[::-1]
+        got[index] = [
+            client.revise_pair(pair) for pair in order for _ in range(2)
+        ]
+
+    with _client(frontend.address) as client:
+        threads = [
+            threading.Thread(target=run, args=(i,)) for i in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    results = got[0] + got[1]
+    assert len(results) == 4 * len(pairs)
+    assert all(
+        r.pair.response == expected[r.pair.pair_id] for r in results
+    )
+    assert client.metrics.retries == 0
+    assert frontend.service.metrics.duplicate_results == 0
 
 
 def test_network_fault_plan_is_reproducible_and_env_reachable():
