@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from conftest import print_banner, write_bench_json
 
-from repro.config import FleetConfig, ServingConfig
+from repro.config import DEFAULT_PREFILL_CHUNK_TOKENS, FleetConfig, ServingConfig
 from repro.core.coachlm import CoachLM
 from repro.data import InstructionDataset, generate_dataset
 from repro.errors import WorkerLostError
@@ -92,11 +92,11 @@ def _batch8_reference(
 
     Re-derived from the *current* engine on every run (never a number
     hard-coded from a prior engine generation), at the offline batch
-    path's own configuration — :data:`SERVING_CONFIG`'s fleet width but
-    *unchunked* prefill, exactly like ``CoachLM.revise_dataset``.  The
-    server's chunked refill cost therefore shows up in the
-    ``saturated_vs_batch8`` ratio instead of cancelling out of both
-    sides of it.
+    path's own configuration — :data:`SERVING_CONFIG`'s fleet width on
+    the engine's one schedule, exactly like ``CoachLM.revise_dataset``.
+    Both sides of the ``saturated_vs_batch8`` ratio therefore run the
+    same chunked prefill, and the ratio prices in the serving layer
+    (queue, scheduler, prefix cache, open-loop arrivals).
     """
     requests = []
     for pair in pairs:
@@ -124,13 +124,14 @@ def _long_prompt_stall(coach: CoachLM) -> dict:
     requests is decoding when one long prompt arrives in a freed slot.
     Unchunked, the admitting step pays the whole prompt-length forward
     before any in-flight slot advances; chunked, each step pays at most
-    one ``prefill_chunk_tokens`` forward.  Reported as the maximum
-    single ``step()`` wall time between the long prompt's submission and
-    the end of its prefill (best of three trials to damp scheduler
-    noise).  The gap widens with context length — at bench scale the
-    whole-prompt forward is only ~3x the chunk forward — but the bound
-    itself is the contract: unchunked stall grows O(context), chunked
-    stays O(chunk).
+    one ``prefill_chunk_tokens`` forward.  The unchunked reference is
+    one chunk spanning the context: the same whole-prompt forward.
+    Reported as the maximum single ``step()`` wall time between the long
+    prompt's submission and the end of its prefill (best of three trials
+    to damp scheduler noise).  The gap widens with context length — at
+    bench scale the whole-prompt forward is only ~3x the chunk forward —
+    but the bound itself is the contract: unchunked stall grows
+    O(context), chunked stays O(chunk).
     """
     context = coach.model.config.max_seq_len
     rng = np.random.default_rng(77)
@@ -139,7 +140,7 @@ def _long_prompt_stall(coach: CoachLM) -> dict:
     ]
     long_prompt = list(map(int, rng.integers(5, 300, size=context - 6)))
 
-    def worst_step(chunk: int | None) -> float:
+    def worst_step(chunk: int) -> float:
         best = float("inf")
         for _ in range(3):
             engine = BatchedEngine(
@@ -159,11 +160,11 @@ def _long_prompt_stall(coach: CoachLM) -> dict:
             best = min(best, worst)
         return best
 
-    unchunked = worst_step(None)
-    chunked = worst_step(SERVING_CONFIG.prefill_chunk_tokens)
+    unchunked = worst_step(context)
+    chunked = worst_step(DEFAULT_PREFILL_CHUNK_TOKENS)
     return {
         "long_prompt_tokens": len(long_prompt),
-        "chunk_tokens": SERVING_CONFIG.prefill_chunk_tokens,
+        "chunk_tokens": DEFAULT_PREFILL_CHUNK_TOKENS,
         "unchunked_max_step_ms": round(unchunked * 1e3, 2),
         "chunked_max_step_ms": round(chunked * 1e3, 2),
         "stall_ratio": round(chunked / unchunked, 3),
@@ -195,11 +196,10 @@ def _late_arrival_admission(coach: CoachLM) -> dict:
         for i in range(N_LATE_ARRIVALS)
     ]
 
-    def mean_steps(concurrency: int) -> tuple[float, float]:
+    def mean_steps(concurrency: int | None) -> tuple[float, float]:
         engine = BatchedEngine(
             model,
             max_batch=MAX_BATCH + N_LATE_ARRIVALS,
-            prefill_chunk_tokens=SERVING_CONFIG.prefill_chunk_tokens,
             prefill_concurrency=concurrency,
         )
         for prompt in decoys:
@@ -219,12 +219,13 @@ def _late_arrival_admission(coach: CoachLM) -> dict:
         return float(np.mean(list(first.values()))), elapsed
 
     single_steps, single_s = mean_steps(1)
-    multi_steps, multi_s = mean_steps(SERVING_CONFIG.prefill_concurrency)
+    # The engine default: every free slot admits.
+    multi_steps, multi_s = mean_steps(None)
     return {
         "n_arrivals": N_LATE_ARRIVALS,
         "arrival_prompt_tokens": [len(p) for p in arrivals],
-        "chunk_tokens": SERVING_CONFIG.prefill_chunk_tokens,
-        "prefill_concurrency": SERVING_CONFIG.prefill_concurrency,
+        "chunk_tokens": DEFAULT_PREFILL_CHUNK_TOKENS,
+        "prefill_concurrency": MAX_BATCH + N_LATE_ARRIVALS,
         "single_slot_mean_steps": round(single_steps, 2),
         "multi_slot_mean_steps": round(multi_steps, 2),
         "admission_speedup_steps": round(single_steps / multi_steps, 2),
@@ -342,11 +343,12 @@ def test_serving_sustains_batched_throughput(wb):
         },
         "max_batch": MAX_BATCH,
         "max_new_tokens": MAX_NEW_TOKENS,
-        "prefill_chunk_tokens": SERVING_CONFIG.prefill_chunk_tokens,
-        "prefill_concurrency": SERVING_CONFIG.prefill_concurrency,
+        # The engine defaults, which the server and the reference share.
+        "prefill_chunk_tokens": DEFAULT_PREFILL_CHUNK_TOKENS,
+        "prefill_concurrency": MAX_BATCH,
         # Both sides of the saturated ratio run on the paged KV pool (the
-        # engine's only layout); the ratio prices in chunked refill and
-        # the serving layer, not the KV layout.
+        # engine's only layout) and the one schedule; the ratio prices in
+        # the serving layer, not the KV layout or the schedule.
         "kv_page_tokens": SERVING_CONFIG.kv_page_tokens,
         "reference_batch8_tokens_per_sec": saturated["reference_tokens_per_sec"],
         "arrival_sweep": sweep,
@@ -390,15 +392,14 @@ def test_serving_sustains_batched_throughput(wb):
     )
 
     # Under saturating Poisson load the streaming scheduler must stay
-    # close to the *unchunked* offline batch-8 throughput — the ratio
-    # prices in chunked prefill interleaving (the serving default); the
-    # long-prompt stall numbers are what that cost buys.  The gate judges
+    # close to the offline batch-8 throughput of the same engine
+    # schedule — the ratio prices in the serving layer.  The gate judges
     # the median of the paired per-round ratios; the JSON records every
     # round's ratio next to it.
     assert saturated["median_ratio"] >= 0.9, payload
-    # Chunking must deliver the thing it costs throughput for: a long
-    # prompt joining a busy fleet may never stall in-flight decodes for
-    # anything close to a whole prompt-length forward pass.
+    # Chunking must deliver its bound: a long prompt joining a busy
+    # fleet may never stall in-flight decodes for anything close to a
+    # whole prompt-length forward pass.
     assert stall["chunked_max_step_ms"] < stall["unchunked_max_step_ms"], payload
     # Multi-slot admission must collapse the burst's serialization: mean
     # admission-to-first-token steps drop at least 2x vs single-slot
@@ -440,10 +441,10 @@ def _priority_preemption(coach: CoachLM) -> dict:
     :func:`_late_arrival_admission`: a one-token budget makes the
     completion step the first-token step) land while it runs.  With
     priorities + preemption the probe evicts one bulk decode and speaks
-    within a couple of steps; under FIFO (preemption off, one priority
-    class) it waits for the whole bulk generation to retire.  Steps are
-    deterministic — the floor is not exposed to CI timer noise — and
-    wall times are recorded alongside.
+    within a couple of steps; under FIFO (one priority class, and equal
+    priorities never preempt) it waits for the whole bulk generation to
+    retire.  Steps are deterministic — the floor is not exposed to CI
+    timer noise — and wall times are recorded alongside.
     """
     model = coach.model
     rng = np.random.default_rng(31415)
@@ -463,7 +464,6 @@ def _priority_preemption(coach: CoachLM) -> dict:
             max_batch=MAX_BATCH + 1,
             kv_page_tokens=PREEMPT_PAGE_TOKENS,
             kv_pool_pages=pool_pages,
-            preemption=priorities,
         )
         for prompt in decoys:
             engine.submit(

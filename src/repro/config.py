@@ -37,6 +37,11 @@ DEFAULT_GEN_BATCH_SIZE = 8
 #: default for the engine, :class:`ScaleConfig` and :class:`ServingConfig`.
 DEFAULT_KV_PAGE_TOKENS = 64
 
+#: Prefill chunk (prompt tokens) of the batched engine: while a fleet
+#: is decoding, a joining prompt advances by at most this many tokens
+#: per step, bounding the stall in-flight sequences see.
+DEFAULT_PREFILL_CHUNK_TOKENS = 64
+
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
@@ -119,32 +124,12 @@ class ScaleConfig:
     #: test-set response generation decode this many sequences per
     #: forward pass).
     gen_batch_size: int = DEFAULT_GEN_BATCH_SIZE
-    #: Chunk size (prompt tokens) of the engine's interleaved prefill:
-    #: while a fleet is decoding, a refill prompt advances by at most
-    #: this many tokens per engine step, bounding the prefill stall seen
-    #: by in-flight sequences.  ``None`` prefills refill prompts whole.
-    prefill_chunk_tokens: int | None = None
-    #: How many refill prompts advance their chunked prefill concurrently
-    #: (each chunk a row of the engine step's forward).  Only meaningful with
-    #: ``prefill_chunk_tokens`` set; 1 reproduces single-slot admission.
-    prefill_concurrency: int = 1
     #: Page size (tokens) of the engine's paged KV pool: K/V live in
     #: on-demand pages drawn from a shared free list through
     #: per-sequence block tables, so KV memory scales with *live
     #: tokens*.  The page size never changes a decoded token; the
     #: default matches the serving default.
     kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS
-    #: Total page budget of the paged pool (admission reserves each
-    #: sequence's worst-case quota against it).  ``None`` sizes it to
-    #: the full-context worst case, ``gen_batch_size × ceil(max_seq_len
-    #: / kv_page_tokens)`` — lazily allocated.
-    kv_pool_pages: int | None = None
-    #: Radix prefix cache over the paged pool: prompts sharing a prefix
-    #: with an earlier prefill borrow its refcounted read-only pages,
-    #: prefill from the first divergent token, and copy-on-write the
-    #: shared boundary page on first write.  Off by default offline
-    #: (batch jobs rarely repeat prompts).
-    kv_prefix_cache: bool = False
 
     def __post_init__(self) -> None:
         # Fail at construction with a clear message instead of deep inside
@@ -153,17 +138,10 @@ class ScaleConfig:
             raise ConfigError(
                 f"gen_batch_size must be >= 1, got {self.gen_batch_size}"
             )
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
+        if self.kv_page_tokens is None or self.kv_page_tokens < 1:
             raise ConfigError(
-                "prefill_chunk_tokens must be >= 1, got "
-                f"{self.prefill_chunk_tokens}"
+                f"kv_page_tokens must be >= 1, got {self.kv_page_tokens}"
             )
-        if self.prefill_concurrency < 1:
-            raise ConfigError(
-                "prefill_concurrency must be >= 1, got "
-                f"{self.prefill_concurrency}"
-            )
-        _validate_kv_paging(self.kv_page_tokens, self.kv_pool_pages)
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_new_tokens < 1:
@@ -176,21 +154,16 @@ class ScaleConfig:
         return replace(self, **overrides)  # type: ignore[arg-type]
 
 
-def _validate_kv_paging(kv_page_tokens: int, kv_pool_pages: int | None) -> None:
-    """Shared validation of the paged-KV knobs (Scale and Serving configs)."""
-    if kv_page_tokens is None or kv_page_tokens < 1:
-        raise ConfigError(
-            f"kv_page_tokens must be >= 1, got {kv_page_tokens}"
-        )
-    if kv_pool_pages is not None and kv_pool_pages < 1:
-        raise ConfigError(
-            f"kv_pool_pages must be >= 1, got {kv_pool_pages}"
-        )
-
-
 @dataclass(frozen=True)
 class ServingConfig:
     """Knobs of the online revision service (:mod:`repro.serving`).
+
+    The server's engine runs the one engine schedule (chunked prefill,
+    every free slot admitting, priority preemption; see
+    :class:`~repro.nn.decoding.BatchedEngine`) with the radix prefix
+    cache on: every revision request wraps its content in the same
+    coach-prompt template, and ``GET /metrics`` exports the hit-rate
+    and shared-page counters under ``engine.prefix_cache``.
 
     Attributes
     ----------
@@ -213,23 +186,6 @@ class ServingConfig:
     idle_wait_s:
         How long the serving worker blocks on an empty queue before
         re-checking for shutdown.
-    prefill_chunk_tokens:
-        Chunked-prefill interleaving of the server's engine: a
-        late-arriving prompt advances by at most this many tokens per
-        engine step while the fleet is decoding, so long prompts cannot
-        stall in-flight requests for a whole prompt-length forward pass.
-        Bounding the stall costs some saturated throughput (refills
-        trickle in one chunk per step instead of prefilling whole);
-        ``BENCH_serving.json`` tracks the ratio.
-        ``None`` disables chunking (refill prompts prefill whole).
-    prefill_concurrency:
-        How many late-arriving prompts advance their chunked prefill
-        *concurrently*, each chunk a row of the engine step's forward.  At
-        1 a burst of arrivals serializes behind a single admission slot;
-        the default (the fleet width) lets the whole burst prefill
-        together, collapsing admission-to-first-token latency under
-        bursty load (``BENCH_serving.json`` tracks the ratio).  Only
-        meaningful with ``prefill_chunk_tokens`` set.
     kv_page_tokens:
         Page size (tokens) of the server engine's paged KV pool.  KV
         pages are allocated on demand through per-sequence block tables,
@@ -244,23 +200,6 @@ class ServingConfig:
         sequence's worst-case quota against it; requests beyond it wait
         in the queue).  ``None`` sizes it to the full-context worst
         case, lazily allocated.
-    kv_prefix_cache:
-        Radix prefix cache over the paged pool: every revision request
-        wraps its content in the same long coach-prompt template, so
-        prompts sharing a prefix with an earlier prefill borrow its
-        refcounted read-only pages, prefill only from the first
-        divergent token, and copy-on-write the shared boundary page on
-        first write.  ``GET /metrics`` exports the hit-rate and
-        shared-page counters under ``engine.prefix_cache``.  Served
-        tokens are identical either way.
-    preemption_enabled:
-        Priority-tiered preemption: when admission is blocked on slots
-        or pages for a strictly-higher-priority arrival, the engine
-        evicts the lowest-priority active decode (O(1) block-table
-        detach on the paged pool) and resumes it later with identical
-        tokens — interactive latency degrades the bulk tier instead of
-        collapsing under it.  ``False`` restores strict
-        priority-ordered FIFO admission with no eviction.
     """
 
     max_batch: int = DEFAULT_GEN_BATCH_SIZE
@@ -269,27 +208,20 @@ class ServingConfig:
     default_deadline_s: float | None = None
     quality_gate_threshold: float | None = None
     idle_wait_s: float = 0.005
-    prefill_chunk_tokens: int | None = 64
-    prefill_concurrency: int = DEFAULT_GEN_BATCH_SIZE
     kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS
     kv_pool_pages: int | None = None
-    kv_prefix_cache: bool = True
-    preemption_enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.prefill_chunk_tokens is not None and self.prefill_chunk_tokens < 1:
+        if self.kv_page_tokens is None or self.kv_page_tokens < 1:
             raise ConfigError(
-                "prefill_chunk_tokens must be >= 1, got "
-                f"{self.prefill_chunk_tokens}"
+                f"kv_page_tokens must be >= 1, got {self.kv_page_tokens}"
             )
-        if self.prefill_concurrency < 1:
+        if self.kv_pool_pages is not None and self.kv_pool_pages < 1:
             raise ConfigError(
-                "prefill_concurrency must be >= 1, got "
-                f"{self.prefill_concurrency}"
+                f"kv_pool_pages must be >= 1, got {self.kv_pool_pages}"
             )
-        _validate_kv_paging(self.kv_page_tokens, self.kv_pool_pages)
         if self.max_queue_depth < 1:
             raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"

@@ -382,8 +382,6 @@ class CoachLM:
         self,
         dataset: InstructionDataset,
         batch_size: int = DEFAULT_GEN_BATCH_SIZE,
-        prefill_chunk_tokens: int | None = None,
-        prefill_concurrency: int = 1,
         kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
         revise_top_k: int | None = None,
         self_review: bool = False,
@@ -393,13 +391,10 @@ class CoachLM:
 
         Decoding runs through the batched engine — ``batch_size``
         sequences per forward pass, with packed prefill and
-        continuous slot refill — and is token-identical to calling
-        :meth:`revise_pair` per pair.  ``prefill_chunk_tokens`` caps how
-        much refill-prompt prefill a single engine step may do and
-        ``prefill_concurrency`` lets that many refill prompts advance
-        their chunks together (mostly serving-path knobs; offline runs
-        usually leave chunking off).  ``kv_page_tokens`` sets the page
-        size of the engine's KV pool (identical tokens at every size).
+        continuous slot refill, on the same schedule the server runs —
+        and is token-identical to calling :meth:`revise_pair` per pair.
+        ``kv_page_tokens`` sets the page size of the engine's KV pool
+        (identical tokens at every size).
 
         ``revise_top_k`` spends the decode budget where it helps most:
         teacher-force score the whole dataset (one batched
@@ -471,11 +466,7 @@ class CoachLM:
         if journal is not None:
             journal.record_submitted(decode_idx)
         engine = BatchedEngine(
-            self.model,
-            max_batch=batch_size,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            prefill_concurrency=prefill_concurrency,
-            kv_page_tokens=kv_page_tokens,
+            self.model, max_batch=batch_size, kv_page_tokens=kv_page_tokens
         )
         outputs = iter(engine.generate(requests))
 

@@ -21,11 +21,8 @@ counterparts — greedy by default, or seeded top-k sampling when
 ``top_k`` is passed (each sequence draws from its own spawned rng
 stream, matching :meth:`TransformerLM.generate` under the same seed);
 the fleet advances ``batch_size`` sequences per forward pass with
-continuous slot refill, ``prefill_chunk_tokens`` bounds how long a
-refill prompt may stall in-flight decodes, and ``prefill_concurrency``
-lets that many refill prompts advance their chunked prefill together,
-each chunk a row of the step's one packed forward (see
-:class:`~repro.nn.decoding.BatchedEngine`).
+continuous slot refill and chunked prefill, on the engine's one
+schedule (see :class:`~repro.nn.decoding.BatchedEngine`).
 """
 
 from __future__ import annotations
@@ -50,18 +47,12 @@ class TextEngine:
         model: TransformerLM,
         tokenizer: WordTokenizer,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        prefill_chunk_tokens: int | None = None,
-        prefill_concurrency: int = 1,
         kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
     ):
         self.model = model
         self.tokenizer = tokenizer
         self.engine = BatchedEngine(
-            model,
-            max_batch=batch_size,
-            prefill_chunk_tokens=prefill_chunk_tokens,
-            prefill_concurrency=prefill_concurrency,
-            kv_page_tokens=kv_page_tokens,
+            model, max_batch=batch_size, kv_page_tokens=kv_page_tokens
         )
 
     @staticmethod
@@ -127,8 +118,8 @@ class TextEngine:
         The request joins the decode fleet at the next :meth:`pump`, in
         the first free or retiring slot — it does not wait for the
         in-flight batch to drain.  ``priority`` orders admission (smaller
-        is more urgent) and, when the engine has preemption enabled,
-        marks which in-flight decodes a more urgent arrival may evict.
+        is more urgent) and marks which in-flight decodes a more urgent
+        arrival may evict.
         """
         context = self.model.config.max_seq_len
         prompt = encode_truncated_instruction_prompt(

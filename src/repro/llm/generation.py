@@ -35,8 +35,6 @@ def generate_responses(
     provenances: list[TaskInstance | None] | None = None,
     max_new_tokens: int = 48,
     batch_size: int = DEFAULT_GEN_BATCH_SIZE,
-    prefill_chunk_tokens: int | None = None,
-    prefill_concurrency: int = 1,
     kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
 ) -> list[InstructionPair]:
     """Generate responses for a list of instructions.
@@ -52,12 +50,7 @@ def generate_responses(
     if provenances is None:
         provenances = [None] * len(instructions)
     engine = TextEngine(
-        model,
-        tokenizer,
-        batch_size=batch_size,
-        prefill_chunk_tokens=prefill_chunk_tokens,
-        prefill_concurrency=prefill_concurrency,
-        kv_page_tokens=kv_page_tokens,
+        model, tokenizer, batch_size=batch_size, kv_page_tokens=kv_page_tokens
     )
     responses = engine.respond(instructions, max_new_tokens=max_new_tokens)
     return [

@@ -22,16 +22,15 @@ written KV prefix.  A row has one of two shapes, and a mixed step
 carries both:
 
 1. **Prefill rows** — pending prompts are *parked* in free slots just
-   past the decode fleet.  Without ``prefill_chunk_tokens`` (or while
-   the fleet is idle) a parked row feeds its whole remaining prompt as
-   one row; with it set and a fleet already decoding, up to
-   ``prefill_concurrency`` parked rows each advance by at most one
-   chunk per step, so a late-arriving long prompt delays in-flight
-   decodes by a bounded chunk rather than a whole prompt-length
-   forward, and a burst of late arrivals prefills concurrently instead
-   of serializing behind one admission slot.  A row that consumed its
-   last prompt token joins the decode fleet and selects its first token
-   from this forward's last-token logits.
+   past the decode fleet.  While the fleet is idle a parked row feeds
+   its whole remaining prompt as one row; with a fleet already
+   decoding, every parked row advances by at most one
+   ``prefill_chunk_tokens`` chunk per step, so a late-arriving long
+   prompt delays in-flight decodes by a bounded chunk rather than a
+   whole prompt-length forward, and a burst of late arrivals prefills
+   concurrently instead of serializing behind one admission slot.  A
+   row that consumed its last prompt token joins the decode fleet and
+   selects its first token from this forward's last-token logits.
 2. **Decode rows** — every active sequence feeds ``q`` tokens at
    depths ``lengths[b] .. lengths[b] + q - 1``: its last produced token,
    then ``q - 1`` tokens *drafted* by prompt lookup (see below).  The
@@ -68,11 +67,9 @@ overwrites them; they are never registered in the prefix index.
 
 A sequence that hits EOS (or its token budget) retires immediately and
 its slot is compacted away (swap-with-last), so stragglers never pay
-for dead slots (continuous batching).  Without chunking the freed slots
-are refilled within the same step: the refill's prefill rows run one
-more packed forward of their own and decode from the very next step.
-With chunking the refill waits for the next step's admission, which
-keeps the one-chunk-per-step stall bound.
+for dead slots (continuous batching).  A freed slot is refilled by the
+next step's admission, which keeps the one-chunk-per-step stall bound:
+every step runs exactly one forward.
 
 KV storage
 ~~~~~~~~~~
@@ -123,8 +120,8 @@ ulp: engine logits are therefore not bit-identical to the sequential
 path's.  Greedy argmax margins are many orders of magnitude wider, and
 the test suite pins token-for-token parity with the sequential path on
 every edge case (ragged prompts, EOS at different steps,
-prompt-too-long, per-sequence biases, chunked vs unchunked prefill,
-seeded top-k, preemption).
+prompt-too-long, per-sequence biases, chunk sizes from one token to the
+whole prompt, seeded top-k, preemption).
 """
 
 from __future__ import annotations
@@ -137,7 +134,11 @@ from typing import Callable
 
 import numpy as np
 
-from ..config import DEFAULT_GEN_BATCH_SIZE, DEFAULT_KV_PAGE_TOKENS
+from ..config import (
+    DEFAULT_GEN_BATCH_SIZE,
+    DEFAULT_KV_PAGE_TOKENS,
+    DEFAULT_PREFILL_CHUNK_TOKENS,
+)
 from ..errors import GenerationError
 from .transformer import TransformerLM, _sample_top_k
 
@@ -1225,17 +1226,31 @@ class BatchedEngine:
 
     Every step runs one packed varlen forward whose rows are the decode
     fleet (its last token plus drafted tokens to verify, see the module
-    docstring) plus the parked prefill rows.
-    ``prefill_chunk_tokens`` bounds how much prefill work a single
-    :meth:`step` may do while other slots are decoding: each refill
-    prompt advances by at most one chunk per step, so in-flight decodes
-    are never stalled behind a whole prompt-length forward.  Up to
-    ``prefill_concurrency`` refill prompts advance *concurrently* —
-    parked contiguously past the decode fleet, every chunk a row of the
-    same forward — so a burst of late arrivals prefills together instead
-    of serializing behind a single admission slot.  When the fleet is
-    idle there is nothing to stall and every parked prompt prefills
-    whole.
+    docstring) plus the parked prefill rows.  The engine has one
+    schedule, the same offline and serving:
+
+    * ``prefill_chunk_tokens`` (default
+      :data:`~repro.config.DEFAULT_PREFILL_CHUNK_TOKENS`) bounds how
+      much prefill work a single :meth:`step` may do while other slots
+      are decoding: each refill prompt advances by at most one chunk
+      per step, so in-flight decodes are never stalled behind a whole
+      prompt-length forward.  When the fleet is idle there is nothing
+      to stall and every parked prompt prefills whole.
+    * Up to ``prefill_concurrency`` (default ``max_batch``: every free
+      slot) refill prompts advance *concurrently* — parked contiguously
+      past the decode fleet, every chunk a row of the same forward — so
+      a burst of late arrivals prefills together instead of serializing
+      behind a single admission slot.
+    * A slot freed by a retiring sequence refills at the next step's
+      admission.
+    * A strictly more urgent arrival blocked on slots or pages preempts
+      the least urgent active decode (:meth:`preempt_victim`); equal
+      priorities never preempt, so one-priority traffic is FIFO.
+
+    The two prefill arguments exist for the parity suites (1–8-token
+    chunks split short prompts) and the benches' whole-prompt and
+    single-slot reference schedules; every caller in the library runs
+    the defaults.
 
     :meth:`cancel` abandons a submitted sequence in any state — queued,
     mid-prefill, or decoding — finishing it with the tokens produced so
@@ -1254,7 +1269,9 @@ class BatchedEngine:
 
     ``kv_prefix_cache`` adds vLLM/SGLang-style prefix sharing: a radix
     index over token-id prefixes maps previously prefilled prompt pages
-    to refcounted read-only pages.  A matching admission borrows those
+    to refcounted read-only pages.  It is off by default, because cached
+    pages stay resident; the server turns it on, since its revision
+    prompts share one template.  A matching admission borrows those
     pages, charges only its unshared suffix against the pool quota, and
     prefills from the first divergent token; the first write past a
     shared boundary copy-on-writes that one page (see
@@ -1276,19 +1293,20 @@ class BatchedEngine:
         self,
         model: TransformerLM,
         max_batch: int = DEFAULT_GEN_BATCH_SIZE,
-        prefill_chunk_tokens: int | None = None,
-        prefill_concurrency: int = 1,
+        prefill_chunk_tokens: int = DEFAULT_PREFILL_CHUNK_TOKENS,
+        prefill_concurrency: int | None = None,
         kv_page_tokens: int = DEFAULT_KV_PAGE_TOKENS,
         kv_pool_pages: int | None = None,
         kv_prefix_cache: bool = False,
-        preemption: bool = True,
     ):
         if max_batch < 1:
             raise GenerationError(f"max_batch must be >= 1, got {max_batch}")
-        if prefill_chunk_tokens is not None and prefill_chunk_tokens < 1:
+        if prefill_chunk_tokens is None or prefill_chunk_tokens < 1:
             raise GenerationError(
                 f"prefill_chunk_tokens must be >= 1, got {prefill_chunk_tokens}"
             )
+        if prefill_concurrency is None:
+            prefill_concurrency = max_batch
         if prefill_concurrency < 1:
             raise GenerationError(
                 f"prefill_concurrency must be >= 1, got {prefill_concurrency}"
@@ -1311,7 +1329,6 @@ class BatchedEngine:
         self.kv_page_tokens = kv_page_tokens
         self.kv_pool_pages = kv_pool_pages
         self.kv_prefix_cache = kv_prefix_cache
-        self.preemption = preemption
         self._caches: PagedKVCaches | None = None
         self._bias: np.ndarray | None = None
         self._slots: list[_SlotState | None] = [None] * max_batch
@@ -1540,10 +1557,8 @@ class BatchedEngine:
         path use: equal priorities never preempt each other, so
         preemption only ever flows from a more urgent class to a less
         urgent one and cannot thrash.  ``None`` when no eligible victim
-        exists (or preemption is disabled).
+        exists.
         """
-        if not self.preemption:
-            return None
         victim: _SlotState | None = None
         for slot in range(self._n_active):
             state = self._slots[slot]
@@ -1944,23 +1959,23 @@ class BatchedEngine:
 
         Admitted sequences park in free slots just past the decode
         fleet.  Returns ``(state, end)`` per parked row: the row feeds
-        ``feed_ids[prefilled:end]`` in the next packed forward.  Without
-        chunking — or with an idle fleet, where there is nothing to
-        stall — every parked prompt advances whole; with chunking and
-        in-flight decodes, up to ``prefill_concurrency`` parked prompts
-        each advance at most one chunk per step.
+        ``feed_ids[prefilled:end]`` in the next packed forward.  With an
+        idle fleet, where there is nothing to stall, every parked prompt
+        advances whole; with in-flight decodes, up to
+        ``prefill_concurrency`` parked prompts each advance at most one
+        ``prefill_chunk_tokens`` chunk per step.
         """
-        chunk = self.prefill_chunk_tokens
         limit = self.max_batch - self._n_active
-        if chunk is not None and (self._n_active or self._prefilling):
+        if self._n_active or self._prefilling:
             limit = min(self.prefill_concurrency, limit)
         while len(self._prefilling) < limit:
             state = self._pop_viable()
             if state is None:
                 break
             self._park(state)
-        if chunk is None or self._n_active == 0:
+        if self._n_active == 0:
             return [(state, len(state.feed_ids)) for state in self._prefilling]
+        chunk = self.prefill_chunk_tokens
         return [
             (state, min(state.prefilled + chunk, len(state.feed_ids)))
             for state in self._prefilling
@@ -1974,8 +1989,8 @@ class BatchedEngine:
         ``feed`` is the decode fleet's ``(n_decode, q)`` token matrix
         (see :meth:`_draft`): row ``b`` is decode slot ``b`` feeding its
         last produced token and ``q - 1`` drafted ones at depths
-        ``lengths[b] .. lengths[b] + q - 1``.  ``feed`` is ``None`` for a
-        same-step refill, which prefills its parked rows alone.  Row
+        ``lengths[b] .. lengths[b] + q - 1``.  ``feed`` is ``None`` while
+        no sequence is decoding, and the parked rows prefill alone.  Row
         ``n_decode + i`` is parked slot ``n_active + i`` advancing
         ``[prefilled, end)``.  All real tokens are concatenated on one
         packed axis (``pack_spans``) — no pad position ever enters a
@@ -2231,20 +2246,6 @@ class BatchedEngine:
             # Parked rows that consumed their last prompt token join the
             # fleet now, selecting their first tokens from this forward.
             self._promote_parked(list(logits[width:]))
-        if (
-            self.prefill_chunk_tokens is None
-            and self._n_active + len(self._prefilling) < n_active + len(plan)
-        ):
-            # Rows left the fleet (EOS, budget, or an instant first-token
-            # finish): refill the freed slots within the same step.  The
-            # refill's parked rows get a packed forward of their own and
-            # decode from the very next step.  With chunking enabled the
-            # refill waits for the next step's admission instead — a
-            # second advance here would break the one-chunk-per-step
-            # stall bound.
-            refill = self._admit()
-            if refill:
-                self._promote_parked(list(self._unified_forward(refill, None)))
         return len(self._finished) - before
 
     def collect(self) -> dict[int, list[int] | SequenceScore | None]:

@@ -245,8 +245,6 @@ class Workbench:
             revised, stats = coach.revise_dataset(
                 self.alpaca_dataset(),
                 batch_size=self.scale.gen_batch_size,
-                prefill_chunk_tokens=self.scale.prefill_chunk_tokens,
-                prefill_concurrency=self.scale.prefill_concurrency,
                 kv_page_tokens=self.scale.kv_page_tokens,
                 revise_top_k=revise_top_k,
                 self_review=self_review,
@@ -460,8 +458,6 @@ class Workbench:
             testset.provenances[:n_items],
             max_new_tokens=self.scale.max_new_tokens,
             batch_size=self.scale.gen_batch_size,
-            prefill_chunk_tokens=self.scale.prefill_chunk_tokens,
-            prefill_concurrency=self.scale.prefill_concurrency,
             kv_page_tokens=self.scale.kv_page_tokens,
         )
         self.cache.save_dataset(

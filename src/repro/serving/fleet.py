@@ -147,12 +147,9 @@ def _fleet_worker_main(
         BatchedEngine(
             coach.model,
             max_batch=config.max_batch,
-            prefill_chunk_tokens=config.prefill_chunk_tokens,
-            prefill_concurrency=config.prefill_concurrency,
             kv_page_tokens=config.kv_page_tokens,
             kv_pool_pages=config.kv_pool_pages,
-            kv_prefix_cache=config.kv_prefix_cache,
-            preemption=config.preemption_enabled,
+            kv_prefix_cache=True,
         ),
         metrics,
     )
@@ -629,7 +626,7 @@ class EngineFleet:
             if snaps and not any(stat_key in s for s in snaps):
                 continue
             agg[stat_key] = sum(s.get(stat_key, 0) for s in snaps)
-        # Prefix-cache counters (workers with kv_prefix_cache on): summed
+        # Prefix-cache counters (every worker runs the cache): summed
         # across the fleet, with the hit rate recomputed over the sums.
         prefix_snaps = [
             s["prefix_cache"] for s in snaps if s.get("prefix_cache")

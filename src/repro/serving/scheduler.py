@@ -11,12 +11,11 @@ behaviour deterministic:
 * a job submitted while the fleet is mid-flight is prefilled into the
   first slot that retires, so it **joins the in-flight batch** instead of
   waiting for the whole batch to drain;
-* with the engine's ``prefill_chunk_tokens`` set (the serving default),
-  that late-join prefill is *interleaved*: each :meth:`pump` advances
-  every joining prompt (up to the engine's ``prefill_concurrency``) by
-  at most one chunk alongside one decode step, so a burst of long
-  prompts delays the in-flight requests by a bounded chunk per step
-  instead of a whole prompt-length forward pass each;
+* that late-join prefill is *interleaved* (the engine's one schedule):
+  each :meth:`pump` advances every joining prompt by at most one chunk
+  alongside one decode step, so a burst of long prompts delays the
+  in-flight requests by a bounded chunk per step instead of a whole
+  prompt-length forward pass each;
 * admission is capped at the engine's slot count, so jobs keep waiting in
   the server's *priority* queue (not the engine's FIFO) until a slot is
   actually imminent — priorities stay meaningful under load;

@@ -182,12 +182,9 @@ class RevisionServer:
             BatchedEngine(
                 coach.model,
                 max_batch=self.config.max_batch,
-                prefill_chunk_tokens=self.config.prefill_chunk_tokens,
-                prefill_concurrency=self.config.prefill_concurrency,
                 kv_page_tokens=self.config.kv_page_tokens,
                 kv_pool_pages=self.config.kv_pool_pages,
-                kv_prefix_cache=self.config.kv_prefix_cache,
-                preemption=self.config.preemption_enabled,
+                kv_prefix_cache=True,
             ),
             self.metrics,
         )

@@ -90,51 +90,14 @@ def test_scaled_override():
     assert cfg.name == "ci"
 
 
-def test_scale_config_validates_prefill_chunk():
-    with pytest.raises(ConfigError, match="prefill_chunk_tokens"):
-        get_scale("ci").scaled(prefill_chunk_tokens=0)
-    assert get_scale("ci").prefill_chunk_tokens is None
-    assert get_scale("ci").scaled(prefill_chunk_tokens=16).prefill_chunk_tokens == 16
-
-
-def test_serving_config_validates_prefill_chunk():
-    from repro.config import ServingConfig
-
-    with pytest.raises(ConfigError, match="prefill_chunk_tokens"):
-        ServingConfig(prefill_chunk_tokens=0)
-    assert ServingConfig().prefill_chunk_tokens is not None
-    assert ServingConfig(prefill_chunk_tokens=None).prefill_chunk_tokens is None
-
-
-def test_scale_config_validates_prefill_concurrency():
-    with pytest.raises(ConfigError, match="prefill_concurrency"):
-        get_scale("ci").scaled(prefill_concurrency=0)
-    assert get_scale("ci").prefill_concurrency == 1
-    assert get_scale("ci").scaled(prefill_concurrency=4).prefill_concurrency == 4
-
-
-def test_serving_config_validates_prefill_concurrency():
-    from repro.config import DEFAULT_GEN_BATCH_SIZE, ServingConfig
-
-    with pytest.raises(ConfigError, match="prefill_concurrency"):
-        ServingConfig(prefill_concurrency=0)
-    # The serving default admits a whole fleet-width burst concurrently.
-    assert ServingConfig().prefill_concurrency == DEFAULT_GEN_BATCH_SIZE
-    assert ServingConfig(prefill_concurrency=2).prefill_concurrency == 2
-
-
 def test_scale_config_validates_kv_paging():
     with pytest.raises(ConfigError, match="kv_page_tokens"):
         get_scale("ci").scaled(kv_page_tokens=0)
     with pytest.raises(ConfigError, match="kv_page_tokens"):
         get_scale("ci").scaled(kv_page_tokens=None)
-    with pytest.raises(ConfigError, match="kv_pool_pages"):
-        get_scale("ci").scaled(kv_page_tokens=16, kv_pool_pages=0)
     # Offline presets share the one engine default page size.
     assert get_scale("ci").kv_page_tokens == DEFAULT_KV_PAGE_TOKENS
-    assert not get_scale("ci").kv_prefix_cache
-    cfg = get_scale("ci").scaled(kv_page_tokens=16, kv_pool_pages=24)
-    assert (cfg.kv_page_tokens, cfg.kv_pool_pages) == (16, 24)
+    assert get_scale("ci").scaled(kv_page_tokens=16).kv_page_tokens == 16
 
 
 def test_serving_config_validates_kv_paging():
@@ -144,9 +107,9 @@ def test_serving_config_validates_kv_paging():
         ServingConfig(kv_page_tokens=0)
     with pytest.raises(ConfigError, match="kv_page_tokens"):
         ServingConfig(kv_page_tokens=None)
-    # The serving default is 64-token pages with the prefix cache on:
-    # resident KV memory follows the live fleet, and /metrics exports
-    # free_pages.
+    with pytest.raises(ConfigError, match="kv_pool_pages"):
+        ServingConfig(kv_pool_pages=0)
+    # The serving default is 64-token pages: resident KV memory follows
+    # the live fleet, and /metrics exports free_pages.
     assert ServingConfig().kv_page_tokens == DEFAULT_KV_PAGE_TOKENS == 64
     assert ServingConfig().kv_pool_pages is None
-    assert ServingConfig().kv_prefix_cache is True

@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_PREFILL_CHUNK_TOKENS
 from repro.core.coachlm import CoachLM
 from repro.data import generate_dataset
 from repro.errors import GenerationError
@@ -431,9 +432,12 @@ def test_chunked_prefill_matches_unchunked(model, ragged_prompts, chunk):
 
 
 def test_chunked_generate_matches_unchunked(model, ragged_prompts):
-    """Run-to-completion with chunking on (refills go chunk-by-chunk)."""
+    """Run-to-completion with 2-token chunks (refills go chunk-by-chunk)
+    matches whole-prompt prefill (one chunk spanning the context)."""
     requests = [GenerationRequest(p, 16, eos_id=2) for p in ragged_prompts]
-    expected = BatchedEngine(model, max_batch=3).generate(requests)
+    expected = BatchedEngine(
+        model, max_batch=3, prefill_chunk_tokens=model.config.max_seq_len
+    ).generate(requests)
     got = BatchedEngine(model, max_batch=3, prefill_chunk_tokens=2).generate(
         [GenerationRequest(p, 16, eos_id=2) for p in ragged_prompts]
     )
@@ -441,9 +445,62 @@ def test_chunked_generate_matches_unchunked(model, ragged_prompts):
     assert expected == _sequential(model, ragged_prompts, 16, eos_id=2)
 
 
+def test_default_engine_runs_the_serving_schedule():
+    """A default engine runs the one schedule: with a fleet decoding,
+    every late arrival prefills concurrently in 64-token chunks and
+    takes its first token at step ``ceil(len / 64)``; a slot freed by a
+    retirement refills at the next step's admission."""
+    config = TransformerConfig(
+        vocab_size=197, d_model=32, n_layers=1, n_heads=4, max_seq_len=256
+    )
+    model = TransformerLM(config, np.random.default_rng(5))
+    rng = np.random.default_rng(23)
+    chunk = DEFAULT_PREFILL_CHUNK_TOKENS
+
+    def prompt(n):
+        return [int(t) for t in rng.integers(5, 197, size=n)]
+
+    engine = BatchedEngine(model, max_batch=4)
+    assert (engine.prefill_chunk_tokens, engine.prefill_concurrency) == (
+        chunk, 4
+    )
+    assert not engine.kv_prefix_cache
+    requests = [GenerationRequest(prompt(5), 60, eos_id=None)]
+    ids = [engine.submit(requests[0])]
+    engine.step()  # idle fleet: the whole prompt, then decoding
+    late = {}
+    for n in (chunk, chunk + 1, 2 * chunk + 1):
+        requests.append(GenerationRequest(prompt(n), 24, eos_id=None))
+        late[n] = engine.submit(requests[-1])
+    ids += list(late.values())
+    for k in (1, 2, 3):
+        engine.step()
+        assert engine.n_pending == 0
+        for n, seq_id in late.items():
+            assert bool(engine.produced_so_far(seq_id)) == (k >= -(-n // chunk))
+    # The fleet is full: an extra arrival waits for a retirement.
+    requests.append(GenerationRequest(prompt(6), 4, eos_id=None))
+    extra = engine.submit(requests[-1])
+    ids.append(extra)
+    while engine.step() == 0:
+        assert engine.n_pending == 1
+    assert engine.n_pending == 1 and engine.produced_so_far(extra) is None
+    engine.step()
+    assert engine.n_pending == 0 and engine.produced_so_far(extra)
+    while engine.has_work:
+        engine.step()
+    results = engine.collect()
+    assert [results[i] for i in ids] == [
+        model.generate(r.prompt_ids, r.max_new_tokens, eos_id=None)
+        for r in requests
+    ]
+
+
 def test_engine_rejects_bad_prefill_chunk(model):
-    with pytest.raises(GenerationError):
-        BatchedEngine(model, max_batch=2, prefill_chunk_tokens=0)
+    # There is no unchunked schedule: None is not a chunk size.
+    for bad in (0, None):
+        with pytest.raises(GenerationError):
+            BatchedEngine(model, max_batch=2, prefill_chunk_tokens=bad)
 
 
 # -- in-engine top-k sampling ------------------------------------------------------
@@ -1131,8 +1188,10 @@ def test_prefix_cache_hits_and_token_parity(model, chunk):
         for _ in range(5)
     ]
     expected = [model.generate(p, 12, eos_id=2) for p in prompts]
+    # chunk None: the whole prompt in one chunk.
     engine = _prefix_engine(
-        model, prefill_chunk_tokens=chunk, prefill_concurrency=4
+        model, prefill_chunk_tokens=chunk or model.config.max_seq_len,
+        prefill_concurrency=4,
     )
     got = [
         engine.generate([GenerationRequest(p, 12, eos_id=2)])[0]

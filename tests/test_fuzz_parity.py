@@ -2,13 +2,13 @@
 
 Every scenario draws a random *serving trace* — uneven prompt lengths
 (including prompt-too-long edge cases), staggered arrival steps, chunked
-or unchunked prefill at random chunk sizes and concurrencies, greedy and
-seeded top-k requests mixed in one fleet, and early cancellations — runs
-it through :class:`BatchedEngine`'s streaming ``submit``/``step``/
-``collect`` API, and asserts the result of every surviving request is
-**token-for-token identical** to the sequential
-:meth:`TransformerLM.generate` path (cancelled requests must be an exact
-prefix of it).
+prefill at random chunk sizes (or one chunk spanning the whole context)
+and concurrencies, greedy and seeded top-k requests mixed in one fleet,
+and early cancellations — runs it through :class:`BatchedEngine`'s
+streaming ``submit``/``step``/``collect`` API, and asserts the result of
+every surviving request is **token-for-token identical** to the
+sequential :meth:`TransformerLM.generate` path (cancelled requests must
+be an exact prefix of it).
 
 Each scenario also draws its *KV layout*: one full-context page per
 sequence or a random page size (including degenerate one-token pages),
@@ -121,7 +121,7 @@ class _FuzzRequest:
 class _Scenario:
     seed: int
     max_batch: int
-    prefill_chunk_tokens: int | None
+    prefill_chunk_tokens: int
     prefill_concurrency: int
     kv_page_tokens: int
     kv_pool_pages: int | None = None
@@ -176,8 +176,10 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
     scenario = _Scenario(
         seed=seed,
         max_batch=int(rng.integers(1, 7)),
+        # The coin's other face was once unchunked prefill; one chunk
+        # spanning the context prefills every prompt whole.
         prefill_chunk_tokens=(
-            None if rng.random() < 0.25 else int(rng.integers(1, 9))
+            context if rng.random() < 0.25 else int(rng.integers(1, 9))
         ),
         prefill_concurrency=int(rng.integers(1, 5)),
         kv_page_tokens=page_tokens,

@@ -129,7 +129,8 @@ def test_paged_preempt_resume_token_parity(model, prompts, chunk):
     engine = BatchedEngine(
         model,
         max_batch=3,
-        prefill_chunk_tokens=chunk,
+        # chunk None: the whole prompt in one chunk.
+        prefill_chunk_tokens=chunk or model.config.max_seq_len,
         kv_page_tokens=8,
         kv_pool_pages=40,
     )
@@ -237,16 +238,6 @@ def test_preempt_victim_requires_strictly_lower_priority(model, prompts):
     _drive(engine, seq_ids, preempt_at={})
 
 
-def test_preemption_disabled_never_selects_a_victim(model, prompts):
-    engine = BatchedEngine(model, max_batch=2, preemption=False)
-    engine.submit(GenerationRequest(prompts[0][:6], 8, eos_id=None, priority=9))
-    engine.step()
-    assert engine.preempt_victim(0) is None
-    while engine.has_work:
-        engine.step()
-    assert engine.preemptions == 0
-
-
 def test_preempt_rejects_unknown_and_pending_sequences(model, prompts):
     engine = BatchedEngine(model, max_batch=1)
     first = engine.submit(GenerationRequest(prompts[0][:6], 8, eos_id=None))
@@ -317,17 +308,14 @@ def test_server_stream_cache_hit_emits_done_only(coach, dataset):
 def test_server_priority_preemption_preserves_bulk_parity(coach, dataset):
     """Saturate the fleet with bulk work, then land an urgent request:
     the server preempts a bulk decode for it, and every bulk result is
-    still bit-identical to a preemption-disabled reference run."""
+    still bit-identical to a reference run whose requests share one
+    priority class (equal priorities never preempt)."""
     config = ServingConfig(
         max_batch=2, kv_page_tokens=16, kv_pool_pages=24
     )
-    reference_config = ServingConfig(
-        max_batch=2, kv_page_tokens=16, kv_pool_pages=24,
-        preemption_enabled=False,
-    )
     bulk = list(dataset)
     urgent = bulk.pop(0)
-    with RevisionServer(coach, reference_config) as server:
+    with RevisionServer(coach, config) as server:
         want = [server.revise(p) for p in bulk]
         want_urgent = server.revise(urgent)
     with RevisionServer(coach, config) as server:
@@ -582,12 +570,3 @@ def test_stream_reset_fault_kind_from_env():
     assert fault is not None
     assert fault.kind == "stream_reset"
     assert fault.after_bytes == 123
-
-
-def test_serving_config_preemption_toggle_reaches_engine(coach):
-    with RevisionServer(
-        coach, ServingConfig(max_batch=2, preemption_enabled=False)
-    ) as server:
-        assert server.scheduler.engine.preemption is False
-    with RevisionServer(coach, ServingConfig(max_batch=2)) as server:
-        assert server.scheduler.engine.preemption is True

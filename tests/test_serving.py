@@ -20,12 +20,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.config import ServingConfig
+from repro.config import DEFAULT_PREFILL_CHUNK_TOKENS, ServingConfig
 from repro.core.coachlm import CoachLM, RevisionOutcome
-from repro.data import generate_dataset
+from repro.data import InstructionDataset, generate_dataset
 from repro.data.instruction_pair import InstructionPair
 from repro.deployment import DataManagementPlatform
 from repro.errors import AdmissionError, ConfigError, ServingError
+from repro.llm.prompts import encode_coach_prompt
 from repro.nn import BatchedEngine, GenerationRequest, TransformerConfig, TransformerLM
 from repro.serving import (
     BoundedPriorityQueue,
@@ -298,7 +299,8 @@ def test_scheduler_paces_streamed_token_deliveries(coach, monkeypatch):
 
 
 def test_engine_all_slots_eos_same_step_refills_pending(coach, tokenizer):
-    """Every slot retiring on the same step must refill from pending."""
+    """Every slot retiring on the same step must refill from pending at
+    the next step's admission."""
     model = coach.model
     rng = np.random.default_rng(11)
     prompt = list(rng.integers(5, 100, size=9))
@@ -320,8 +322,10 @@ def test_engine_all_slots_eos_same_step_refills_pending(coach, tokenizer):
         total_finished += finished
         if finished == 4 and total_finished < len(ids):
             mass_retire_seen = True
-            # Retired slots refilled from pending within the same step:
-            # the next wave (3 remaining) is already active.
+            # The retiring step ran its one forward and admitted nothing;
+            # the next step admits the whole next wave (3 remaining).
+            assert engine.n_active == 0 and engine.n_pending == 3
+            assert engine.step() == 0
             assert engine.n_active == 3 and engine.n_pending == 0
     results = engine.collect()
     assert mass_retire_seen
@@ -392,18 +396,6 @@ def test_client_journal_resume_serves_from_journal(coach, dataset, tmp_path):
         )
     assert resumed_stats.outcomes == first_stats.outcomes
     assert len(results) == len(dataset)
-
-
-def test_server_parity_with_tiny_prefill_chunks(coach, dataset):
-    """Chunked prefill interleaving (even 5-token chunks) must not change
-    a single served token relative to the offline batch path."""
-    expected, _ = coach.revise_dataset(dataset, batch_size=5)
-    config = ServingConfig(max_batch=3, prefill_chunk_tokens=5)
-    with RevisionServer(coach, config) as server:
-        got, _ = InProcessRevisionClient(server).revise_dataset(dataset)
-    for exp, pair in zip(expected, got):
-        assert pair.instruction == exp.instruction
-        assert pair.response == exp.response
 
 
 def test_server_leakage_gating_matches_coach(tokenizer, dataset):
@@ -769,7 +761,7 @@ def test_server_expires_deadline_missed_job_waiting_in_engine(coach, dataset):
 
 
 def test_refill_into_just_retired_slot_inherits_clean_kv(coach):
-    """A job admitted into a slot freed on the very same step() must see
+    """A job admitted into a slot freed on the previous step() must see
     a clean KV cache: its tokens cannot depend on the retired occupant's
     stale columns, however long that occupant's sequence was."""
     model = coach.model
@@ -785,9 +777,7 @@ def test_refill_into_just_retired_slot_inherits_clean_kv(coach):
         engine.step()
     done = engine.collect()
     assert list(done) == [first], "occupant must have retired"
-    # Same-step refill: the replacement is pending when the occupant's
-    # final step runs, so it enters the freed slot within that step()
-    # in the unchunked path, and on the next step otherwise.
+    # The replacement enters the freed slot at the next step.
     second = engine.submit(GenerationRequest(replacement, 8, eos_id=None))
     results = {}
     while engine.has_work:
@@ -795,27 +785,28 @@ def test_refill_into_just_retired_slot_inherits_clean_kv(coach):
         results.update(engine.collect())
     assert results[second] == model.generate(replacement, 8, eos_id=None)
 
-    # And the genuinely same-step variant: two sequences, slot 0 retires
-    # while slot 1 keeps decoding; the pending job must refill slot 0
-    # within the retiring step and still match the sequential path.
-    # Budget-based retirement keeps the retiring step deterministic.
+    # And the mid-flight variant: two sequences, slot 0 retires while
+    # slot 1 keeps decoding; the pending job must refill slot 0 on the
+    # step right after the retiring one and still match the sequential
+    # path.  Budget-based retirement keeps the retiring step
+    # deterministic.
     engine = BatchedEngine(model, max_batch=2)
     a = engine.submit(GenerationRequest(long_occupant, 12, eos_id=None))
     b = engine.submit(GenerationRequest(list(rng.integers(5, 100, size=8)), 40))
     engine.step()
     c = engine.submit(GenerationRequest(replacement, 8, eos_id=None))
-    refilled_same_step = False
     results = {}
-    while engine.has_work:
-        active_before = engine.n_active
-        finished = engine.step()
-        if finished and engine.n_active == active_before:
-            # a retired and c was admitted within the same step.
-            refilled_same_step = True
+    while a not in results:
+        engine.step()
         results.update(engine.collect())
-        if c in results:
-            break
-    assert refilled_same_step
+    # a's retiring step admitted nothing; the next step prefills c's
+    # short prompt in one chunk beside b's decode and c joins the fleet.
+    assert engine.n_active == 1 and engine.n_pending == 1
+    engine.step()
+    assert engine.n_active == 2 and engine.n_pending == 0
+    while c not in results:
+        engine.step()
+        results.update(engine.collect())
     assert results[a] == model.generate(long_occupant, 12, eos_id=None)
     assert results[c] == model.generate(replacement, 8, eos_id=None)
 
@@ -981,14 +972,25 @@ def test_http_metrics_schema_is_stable(coach, dataset):
 
 
 def test_server_parity_with_multislot_prefill(coach, dataset):
-    """Multi-slot chunked admission (tiny chunks, full concurrency) must
-    not change a single served token relative to the offline batch path."""
-    expected, _ = coach.revise_dataset(dataset, batch_size=5)
-    config = ServingConfig(
-        max_batch=4, prefill_chunk_tokens=5, prefill_concurrency=4
+    """The default schedule's multi-slot chunked admission must not
+    change a single served token relative to the offline batch path,
+    including for a late prompt longer than one prefill chunk."""
+    # Two fixture pairs joined: a coach prompt over one chunk, placed
+    # last so it arrives while the fleet is decoding and prefills in at
+    # least two chunks.
+    first, second = dataset[5], dataset[6]
+    long_pair = InstructionPair(
+        instruction=f"{first.instruction} {second.instruction}",
+        response=f"{first.response} {second.response}",
+        pair_id="long-prompt",
     )
-    with RevisionServer(coach, config) as server:
-        got, _ = InProcessRevisionClient(server).revise_dataset(dataset)
+    pairs = InstructionDataset(list(dataset) + [long_pair])
+    lengths = [len(encode_coach_prompt(coach.tokenizer, p)) for p in pairs]
+    assert max(lengths) == lengths[-1] > DEFAULT_PREFILL_CHUNK_TOKENS
+    expected, _ = coach.revise_dataset(pairs, batch_size=5)
+    with RevisionServer(coach, ServingConfig(max_batch=4)) as server:
+        got, _ = InProcessRevisionClient(server).revise_dataset(pairs)
+    assert len(got) == len(pairs)
     for exp, pair in zip(expected, got):
         assert pair.instruction == exp.instruction
         assert pair.response == exp.response
