@@ -9,6 +9,7 @@ are pinned here, along with the queue/cache/metrics/HTTP plumbing.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -48,6 +49,7 @@ from repro.serving import (
     StreamingScheduler,
 )
 from repro.serving import scheduler as scheduler_module
+from repro.serving import server as server_module
 from repro.serving.requests import RevisionResult
 from repro.textgen.responses import detokenize, ideal_response
 from repro.textgen.tasks import TaskInstance, render_instruction
@@ -396,6 +398,24 @@ def test_client_journal_resume_serves_from_journal(coach, dataset, tmp_path):
         )
     assert resumed_stats.outcomes == first_stats.outcomes
     assert len(results) == len(dataset)
+
+
+def test_server_parity_with_tiny_prefill_chunks(coach, dataset, monkeypatch):
+    """Chunked prefill interleaving (even 5-token chunks) must not change
+    a single served token relative to the offline batch path."""
+    expected, _ = coach.revise_dataset(dataset, batch_size=5)
+    # The schedule is an engine argument only: build the server's engine
+    # with 5-token chunks.
+    monkeypatch.setattr(
+        server_module, "BatchedEngine",
+        functools.partial(BatchedEngine, prefill_chunk_tokens=5),
+    )
+    with RevisionServer(coach, ServingConfig(max_batch=3)) as server:
+        assert server.scheduler.engine.prefill_chunk_tokens == 5
+        got, _ = InProcessRevisionClient(server).revise_dataset(dataset)
+    for exp, pair in zip(expected, got):
+        assert pair.instruction == exp.instruction
+        assert pair.response == exp.response
 
 
 def test_server_leakage_gating_matches_coach(tokenizer, dataset):
