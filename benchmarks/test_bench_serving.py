@@ -38,9 +38,11 @@ from repro.serving import (
     EngineFleet,
     SOURCE_CACHE,
     SOURCE_DEDUP,
+    SOURCE_ENGINE,
     RevisionServer,
     RunJournal,
     dataset_fingerprint,
+    revision_key,
 )
 
 MAX_BATCH = 8
@@ -622,10 +624,20 @@ def test_priority_preemption_and_streaming_overhead(wb):
 
 # -- multi-process fleet stages --------------------------------------------------
 
-#: Minimum 2-worker speedup over 1 worker — only enforced with >= 2 CPU
-#: cores (forked workers on one core just timeslice; the JSON records
-#: the honest single-core numbers with ``floor_enforced: false``).
+#: Minimum 2-worker speedup over 1 worker (median wall-clock tok/s ratio
+#: of interleaved warm trials) — only enforced when this process may run
+#: on >= 2 cores (forked workers on one core just timeslice; the JSON
+#: records the honest single-core numbers with ``floor_enforced: false``).
 FLEET_SCALING_FLOOR = 1.6
+#: Distinct eligible pairs timed per fleet trial: about a second of
+#: decode at one worker, and under the fleet's 256-deep queue.
+FLEET_TIMED_PAIRS = 200
+#: Interleaved rounds of one 1-worker and one 2-worker trial each.  On a
+#: 2-vCPU host one round's ratio spreads by about +-0.28 around its
+#: median (host speed moves between trials), so the gate needs many.
+FLEET_TRIALS = 15
+#: Corpus the timed and warm-up pairs are drawn from (distinct content).
+FLEET_CORPUS = 320
 
 
 def _fleet_config(n_workers: int) -> FleetConfig:
@@ -639,25 +651,132 @@ def _fleet_config(n_workers: int) -> FleetConfig:
     )
 
 
-def _fleet_throughput(coach: CoachLM, pairs: list, n_workers: int) -> dict:
-    """Wall-clock revision throughput of an n-worker fleet.
+def _fleet_pairs(coach: CoachLM) -> tuple[list, list]:
+    """Distinct decode-eligible ``(warm-up, timed)`` pairs.
+
+    Every pair has its own revision key, so no timed pair can be served
+    by the result cache or in-flight dedup — not from a warm-up pair and
+    not from another timed pair.
+    """
+    dataset = generate_dataset(np.random.default_rng(55), FLEET_CORPUS)
+    distinct: dict[str, object] = {}
+    for pair in dataset:
+        if coach._pre_generate(pair)[0] is not None:
+            key = revision_key(pair, coach.max_new_tokens, coach.copy_bias)
+            distinct.setdefault(key, pair)
+    pairs = list(distinct.values())
+    assert len(pairs) > FLEET_TIMED_PAIRS, len(pairs)
+    return pairs[FLEET_TIMED_PAIRS:], pairs[:FLEET_TIMED_PAIRS]
+
+
+def _warm_fleet(fleet: EngineFleet, warmup: list) -> None:
+    """Decode warm-up pairs until every worker has run engine steps.
+
+    Pairs go in ``2 x max_batch`` at a time: a fresh fork's first
+    requests take several times as long as warm ones, and the timed
+    window should not measure them.
+    """
+    chunk = 2 * SERVING_CONFIG.max_batch
+    for start in range(0, len(warmup), chunk):
+        futures = [fleet.submit(pair) for pair in warmup[start:start + chunk]]
+        for future in futures:
+            future.result(timeout=600.0)
+        # The now idle workers' next heartbeats carry the warm-up's engine
+        # work, so the busy-time baseline read after this excludes it.
+        time.sleep(3 * fleet.config.heartbeat_interval_s)
+        if all(
+            (stats["kv"] or {}).get("decode_steps", 0) > 0
+            for stats in fleet.worker_stats()
+        ):
+            return
+    raise AssertionError("a fleet worker never decoded during warm-up")
+
+
+def _fleet_trial(
+    coach: CoachLM, warmup: list, timed: list, n_workers: int
+) -> dict:
+    """Wall-clock revision throughput of one fresh, warmed n-worker fleet.
 
     Tokens are summed from the results themselves (exact), and the clock
-    runs from first submit to last resolution — wall time is what extra
-    workers are supposed to buy, unlike per-engine busy time.
+    runs from first timed submit to last resolution — wall time is what
+    extra workers are supposed to buy.  Engine busy time over the same
+    window (summed across workers) is recorded next to it.
     """
     with EngineFleet(coach, _fleet_config(n_workers)) as fleet:
+        _warm_fleet(fleet, warmup)
+        busy_before = fleet.metrics_snapshot()["engine_busy_s"]
         start = time.perf_counter()
-        futures = [fleet.submit(pair) for pair in pairs]
+        futures = [fleet.submit(pair) for pair in timed]
         results = [future.result(timeout=600.0) for future in futures]
         elapsed = time.perf_counter() - start
+    busy = fleet.metrics_snapshot()["engine_busy_s"] - busy_before
+    assert all(result.source == SOURCE_ENGINE for result in results), (
+        "a timed pair was served without decoding"
+    )
     tokens = sum(result.generated_tokens for result in results)
     return {
         "workers": n_workers,
         "n_requests": len(results),
         "engine_tokens": tokens,
         "wall_s": round(elapsed, 3),
+        "busy_s": round(busy, 3),
         "tokens_per_sec": round(tokens / elapsed, 1),
+    }
+
+
+def _fleet_scaling(coach: CoachLM) -> dict:
+    """2-worker vs 1-worker throughput over :data:`FLEET_TRIALS` rounds.
+
+    Each round runs one trial per worker count, on fresh fleets, in an
+    order that alternates round by round, and yields one paired 2w/1w
+    ratio.  Only the median ratio is judged; the per-round ratios, their
+    MAD and the median busy-time ratio are recorded next to it.  One warm
+    4-worker trial is recorded only.
+    """
+    warmup, timed = _fleet_pairs(coach)
+    trials: dict[int, list[dict]] = {1: [], 2: []}
+    for round_ in range(FLEET_TRIALS):
+        for n in (1, 2) if round_ % 2 == 0 else (2, 1):
+            trials[n].append(_fleet_trial(coach, warmup, timed, n))
+    four = _fleet_trial(coach, warmup, timed, 4)
+    assert {t["engine_tokens"] for t in trials[1] + trials[2] + [four]} == {
+        trials[1][0]["engine_tokens"]
+    }, "worker count changed the decoded token count"
+
+    ratios = np.array([
+        two["tokens_per_sec"] / one["tokens_per_sec"]
+        for one, two in zip(trials[1], trials[2])
+    ])
+    busy_ratios = [
+        two["busy_s"] / one["busy_s"] for one, two in zip(trials[1], trials[2])
+    ]
+    median = float(np.median(ratios))
+    by_workers = {
+        f"{n}w": {
+            "workers": n,
+            "n_requests": len(timed),
+            "engine_tokens": runs[0]["engine_tokens"],
+            "wall_s": round(float(np.median([r["wall_s"] for r in runs])), 3),
+            "tokens_per_sec": round(
+                float(np.median([r["tokens_per_sec"] for r in runs])), 1
+            ),
+            "trial_tokens_per_sec": [r["tokens_per_sec"] for r in runs],
+        }
+        for n, runs in trials.items()
+    }
+    by_workers["4w"] = four
+    return {
+        "warmup_pairs_per_burst": 2 * SERVING_CONFIG.max_batch,
+        "timed_pairs": len(timed),
+        "trials": FLEET_TRIALS,
+        "by_workers": by_workers,
+        "trial_ratios_2w": [round(float(r), 3) for r in ratios],
+        "speedup_2w": round(median, 2),
+        "speedup_2w_mad": round(float(np.median(np.abs(ratios - median))), 3),
+        "busy_ratio_2w": round(float(np.median(busy_ratios)), 3),
+        "speedup_4w": round(
+            four["tokens_per_sec"] / by_workers["1w"]["tokens_per_sec"], 2
+        ),
     }
 
 
@@ -707,21 +826,22 @@ def _crash_recovery(coach: CoachLM, pairs: list) -> dict:
 
 def test_fleet_scaling_and_crash_recovery(wb):
     coach, pairs = _bench_coach(wb.scale)
-    cpu_cores = os.cpu_count() or 1
-    floor_enforced = cpu_cores >= 2
+    # The cores this process may actually run on, not the host's count.
+    usable_cores = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
+    floor_enforced = usable_cores >= 2
 
-    scaling = {
-        f"{n}w": _fleet_throughput(coach, pairs, n) for n in (1, 2, 4)
-    }
-    base = scaling["1w"]["tokens_per_sec"]
     fleet_scaling = {
-        "cpu_cores": cpu_cores,
+        "cpu_cores": os.cpu_count(),
+        "usable_cores": usable_cores,
         "floor": FLEET_SCALING_FLOOR,
         "floor_enforced": floor_enforced,
-        "by_workers": scaling,
-        "speedup_2w": round(scaling["2w"]["tokens_per_sec"] / base, 2),
-        "speedup_4w": round(scaling["4w"]["tokens_per_sec"] / base, 2),
+        **_fleet_scaling(coach),
     }
+    scaling = fleet_scaling["by_workers"]
     recovery = _crash_recovery(coach, pairs)
 
     payload = {"fleet_scaling": fleet_scaling, "crash_recovery": recovery}
@@ -733,9 +853,13 @@ def test_fleet_scaling_and_crash_recovery(wb):
             f"({stats['engine_tokens']} tokens in {stats['wall_s']:.1f}s)"
         )
     print(
-        f"speedup 2w {fleet_scaling['speedup_2w']:.2f}x, "
+        f"speedup 2w {fleet_scaling['speedup_2w']:.2f}x median of "
+        f"{fleet_scaling['trials']} warm trials "
+        f"(MAD {fleet_scaling['speedup_2w_mad']:.2f}, per trial "
+        f"{fleet_scaling['trial_ratios_2w']}, busy-time ratio "
+        f"{fleet_scaling['busy_ratio_2w']:.2f}), "
         f"4w {fleet_scaling['speedup_4w']:.2f}x "
-        f"({cpu_cores} cores, floor "
+        f"({usable_cores} usable cores, floor "
         f"{'enforced' if floor_enforced else 'recorded only'})"
     )
     print(
@@ -746,7 +870,8 @@ def test_fleet_scaling_and_crash_recovery(wb):
     )
 
     if floor_enforced:
-        # Two engine processes on >= 2 cores must actually scale.
+        # Two engine processes on >= 2 cores must actually scale: judged
+        # on the median of the interleaved warm trials.
         assert fleet_scaling["speedup_2w"] >= FLEET_SCALING_FLOOR, payload
 
     # Record only after the gate passed.

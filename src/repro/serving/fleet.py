@@ -54,6 +54,7 @@ the fuzz harness.
 from __future__ import annotations
 
 import bisect
+import ctypes
 import hashlib
 import itertools
 import multiprocessing
@@ -115,6 +116,54 @@ _STATE_READY = "ready"          #: routable
 _STATE_DEAD = "dead"            #: lost, restart pending or retired
 _STATE_EXITED = "exited"        #: clean shutdown during drain
 
+#: (setter, getter) symbol pairs of the OpenBLAS builds numpy links:
+#: the scipy-openblas wheels first, then plain ILP64 and LP64 builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_control() -> tuple | None:
+    """(setter, getter) of the OpenBLAS mapped into this process, or ``None``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {
+                line.split()[-1] for line in fh if "openblas" in line.lower()
+            }
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_symbol, get_symbol in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_symbol, None)
+            getter = getattr(lib, get_symbol, None)
+            if setter is not None and getter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                getter.restype = ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run this process's OpenBLAS on one thread (no-op without a setter).
+
+    A forked worker inherits numpy's OpenBLAS pool, sized to every core,
+    so N workers would run N x cores BLAS threads whose helpers spin
+    while they wait: on 2 cores, two such workers delivered 0.44x the
+    throughput of one.  The model's GEMMs are tiny, so one thread per
+    worker costs a single worker nothing and lets workers scale with
+    cores.
+    """
+    control = _openblas_thread_control()
+    if control is not None:
+        control[0](1)
+
 
 def _fleet_worker_main(
     slot: int,
@@ -132,8 +181,11 @@ def _fleet_worker_main(
     Single-threaded on purpose — the heartbeat is sent from the same
     loop that pumps the engine, so a beat *proves* the loop is making
     progress (a hung decode stops the beats, which is exactly what the
-    supervisor's hang detector listens for).
+    supervisor's hang detector listens for).  BLAS is single-threaded
+    too (:func:`_pin_blas_to_one_thread`), so the fleet's capacity is
+    ``fleet_workers x max_batch`` rather than threads fighting for cores.
     """
+    _pin_blas_to_one_thread()
     for other in inherited:
         # Pipe ends of sibling workers copied in by fork: close them so
         # fds don't accumulate across restarts.

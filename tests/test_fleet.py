@@ -10,6 +10,7 @@ cross-product of these faults lives in ``tests/test_fuzz_fleet.py``.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -35,6 +36,7 @@ from repro.serving import (
     SOURCE_SHED,
     WorkerFaults,
 )
+from repro.serving.fleet import _openblas_thread_control, _pin_blas_to_one_thread
 from repro.serving.requests import OUTCOME_SHED
 
 
@@ -500,3 +502,35 @@ def test_fleet_mixed_score_and_revise_traffic(coach, tokenizer, dataset, referen
         snap = fleet.metrics_snapshot()
     assert snap["duplicate_results"] == 0
     assert snap["worker_lost"] == 0
+
+
+# -- BLAS threads ------------------------------------------------------------------
+
+
+def _report_pinned_blas_threads(conn) -> None:
+    _pin_blas_to_one_thread()
+    conn.send(_openblas_thread_control()[1]())
+    conn.close()
+
+
+@pytest.mark.skipif(
+    _openblas_thread_control() is None,
+    reason="no OpenBLAS thread setter is loaded",
+)
+def test_worker_blas_pin_is_one_thread_and_stays_in_the_child():
+    """A forked worker pins its inherited OpenBLAS pool to one thread (N
+    workers on C cores would otherwise run N x C spinning BLAS threads);
+    the pin is the child's own and leaves the forking process's pool as
+    it was."""
+    get_threads = _openblas_thread_control()[1]
+    parent_threads = get_threads()
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_report_pinned_blas_threads, args=(writer,))
+    child.start()
+    writer.close()
+    assert reader.poll(60), "child never reported its BLAS threads"
+    assert reader.recv() == 1
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert get_threads() == parent_threads
