@@ -280,20 +280,8 @@ class FleetConfig:
         scratch — greedy decode is deterministic, so a recomputed
         revision is token-for-token the one the dead worker was
         producing.
-    max_queue_depth:
-        Bound of the supervisor's priority queue.  Under pressure the
-        fleet sheds lowest-priority-first: a full queue displaces its
-        worst entry for a strictly higher-priority arrival (the
-        displaced request resolves as ``shed``), and otherwise rejects
-        with :class:`~repro.errors.OverloadError` → HTTP ``503`` +
-        ``Retry-After``.
     shed_retry_after_s:
         The ``Retry-After`` horizon attached to shed/overload rejections.
-    dispatch_depth_per_worker:
-        Outstanding jobs the router keeps at one worker, as a multiple
-        of its engine ``max_batch`` — 2 keeps a refill backlog behind
-        the decode fleet without committing half the queue to a worker
-        that may die.
     worker_ready_timeout_s:
         How long :meth:`EngineFleet.start` waits for the initial fleet
         to report ready.
@@ -303,9 +291,15 @@ class FleetConfig:
         requeue-exhausted rather than hang the shutdown).
     serving:
         Per-worker engine/cache knobs (a :class:`ServingConfig`); the
-        fleet inherits its ``max_batch``, chunked-prefill and paged-KV
-        settings, quality gate, and cache capacity (the supervisor runs
-        the content cache, so per-request dedup spans the whole fleet).
+        fleet inherits its ``max_batch``, paged-KV settings, quality
+        gate, and cache capacity (the supervisor runs the content cache,
+        so per-request dedup spans the whole fleet).  Its
+        ``max_queue_depth`` bounds the supervisor's priority queue.
+        Under pressure the fleet sheds lowest-priority-first: a full
+        queue displaces its worst entry for a strictly higher-priority
+        arrival (the displaced request resolves as ``shed``), and
+        otherwise rejects with :class:`~repro.errors.OverloadError` →
+        HTTP ``503`` + ``Retry-After``.
     """
 
     fleet_workers: int = 2
@@ -315,9 +309,7 @@ class FleetConfig:
     restart_backoff_max_s: float = 2.0
     max_worker_restarts: int = 8
     requeue_budget: int = 2
-    max_queue_depth: int = 256
     shed_retry_after_s: float = 1.0
-    dispatch_depth_per_worker: int = 2
     worker_ready_timeout_s: float = 60.0
     drain_timeout_s: float = 60.0
     serving: ServingConfig = field(default_factory=ServingConfig)
@@ -346,15 +338,6 @@ class FleetConfig:
         if self.requeue_budget < 0:
             raise ConfigError(
                 f"requeue_budget must be >= 0, got {self.requeue_budget}"
-            )
-        if self.max_queue_depth < 1:
-            raise ConfigError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
-            )
-        if self.dispatch_depth_per_worker < 1:
-            raise ConfigError(
-                "dispatch_depth_per_worker must be >= 1, got "
-                f"{self.dispatch_depth_per_worker}"
             )
 
 

@@ -21,9 +21,17 @@ Architecture (bottom up):
   content is served without touching the engine;
 * :mod:`repro.serving.metrics` — queue depth, latency percentiles and
   sustained tokens/sec, all on monotonic clocks;
+* :mod:`repro.serving.lifecycle` — the one request lifecycle both
+  backends run: a ``RequestBook`` (cache, dedup followers, expiry with
+  follower promotion, resolution) and ``admit`` (optional
+  :class:`~repro.quality.scorer.CriteriaScorer` quality gate, prompt
+  gate, revision or IFD engine jobs);
 * :mod:`repro.serving.server` — :class:`RevisionServer`: per-request
-  futures, deadlines, optional :class:`~repro.quality.scorer.CriteriaScorer`
-  quality gating, one worker thread pumping the scheduler;
+  futures and deadlines, token streams, one worker thread pumping the
+  scheduler;
+* :mod:`repro.serving.fleet` — :class:`EngineFleet`: the same service
+  across forked worker processes, with supervision, shedding and drain
+  (``docs/fleet.md``);
 * :mod:`repro.serving.client` — :class:`InProcessRevisionClient`: the
   ``CoachLM.revise_dataset``-compatible façade used by the Fig. 6
   platform simulator;

@@ -7,7 +7,12 @@ owns admission, the content cache, dedup, and every
 processes** each run a private :class:`~repro.nn.decoding.BatchedEngine`
 behind a :class:`~repro.serving.scheduler.StreamingScheduler` and talk
 to the supervisor over one duplex pipe.  CoachLM's weights travel by
-fork (copy-on-write), never by pickle.
+fork (copy-on-write), never by pickle.  Both sides run the request
+lifecycle of :mod:`repro.serving.lifecycle`, the one
+:class:`~repro.serving.server.RevisionServer` runs: the supervisor its
+:class:`~repro.serving.lifecycle.RequestBook`, each worker its
+:func:`~repro.serving.lifecycle.admit`, with typed ``_Job`` / ``_Done``
+messages between them.
 
 Placement is a **consistent-hash ring** over worker slots keyed by the
 request's content hash: identical content always lands on the same
@@ -61,14 +66,14 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait as connection_wait
 
 from ..config import FleetConfig, ServingConfig
-from ..core.coachlm import CoachLM, RevisionOutcome
+from ..core.coachlm import CoachLM
 from ..data.instruction_pair import InstructionPair
 from ..errors import (
     AdmissionError,
-    GenerationError,
     ModelError,
     OverloadError,
     ServingError,
@@ -77,35 +82,12 @@ from ..errors import (
 from ..nn.decoding import BatchedEngine
 from ..pipeline.cache import ArtifactCache, config_hash
 from ..quality.scorer import CriteriaScorer
-from ..scoring.ifd import conditioned_request, pair_ifd, unconditioned_request
-from .cache import (
-    CachedRevision,
-    CachedScore,
-    RevisionLRUCache,
-    revision_key,
-    score_key,
-)
 from .faults import FaultInjector, FaultPlan, WorkerFaults, write_torn_json
+from .lifecycle import Completion, RequestBook, RevisionService, admit
 from .metrics import ServingMetrics
 from .queueing import BoundedPriorityQueue
-from .requests import (
-    KIND_REVISE,
-    KIND_SCORE,
-    OUTCOME_EXPIRED,
-    OUTCOME_QUALITY_GATED,
-    OUTCOME_SCORED,
-    OUTCOME_SHED,
-    RevisionFuture,
-    RevisionResult,
-    RevisionTask,
-    SOURCE_CACHE,
-    SOURCE_DEADLINE,
-    SOURCE_DEDUP,
-    SOURCE_ENGINE,
-    SOURCE_GATE,
-    SOURCE_SHED,
-)
-from .scheduler import EngineJob, StreamingScheduler
+from .requests import OUTCOME_EXPIRED, SOURCE_DEADLINE, RevisionFuture, RevisionTask
+from .scheduler import StreamingScheduler
 
 #: Ring points per worker slot — enough that a dead slot's arc spreads
 #: over several successors instead of doubling one neighbour's load.
@@ -115,6 +97,11 @@ _STATE_STARTING = "starting"    #: forked, engine building, not routable
 _STATE_READY = "ready"          #: routable
 _STATE_DEAD = "dead"            #: lost, restart pending or retired
 _STATE_EXITED = "exited"        #: clean shutdown during drain
+
+#: Outstanding jobs the router keeps at one worker, as a multiple of its
+#: engine ``max_batch``: 2 keeps a refill backlog behind the decode
+#: fleet without committing half the queue to a worker that may die.
+_DISPATCH_DEPTH_PER_WORKER = 2
 
 #: (setter, getter) symbol pairs of the OpenBLAS builds numpy links:
 #: the scipy-openblas wheels first, then plain ILP64 and LP64 builds.
@@ -165,6 +152,25 @@ def _pin_blas_to_one_thread() -> None:
         control[0](1)
 
 
+@dataclass(frozen=True)
+class _Job:
+    """Supervisor → worker: run one request through :func:`admit`."""
+
+    job_id: int
+    pair: InstructionPair
+    kind: str
+    deadline: float | None
+    priority: int
+
+
+@dataclass(frozen=True)
+class _Done:
+    """Worker → supervisor: one job's terminal :class:`Completion`."""
+
+    job_id: int
+    completion: Completion
+
+
 def _fleet_worker_main(
     slot: int,
     incarnation: int,
@@ -205,96 +211,26 @@ def _fleet_worker_main(
         ),
         metrics,
     )
-    outbox: list[tuple] = []
-    threshold = config.quality_gate_threshold
+    outbox: list = []
 
-    def complete(
-        job_id: int, pair: InstructionPair, outcome: str, source: str,
-        generated: int, cacheable: bool, score: dict | None = None,
-    ) -> None:
-        outbox.append((
-            "done", job_id, pair, outcome, source, generated, cacheable, score,
-        ))
+    def handle_job(job: _Job) -> None:
+        def complete(completion: Completion) -> None:
+            outbox.append(_Done(job.job_id, completion))
 
-    def handle_score_job(
-        job_id: int, pair: InstructionPair, deadline: float | None,
-        priority: int = 0,
-    ) -> None:
-        # Mirrors RevisionServer._admit_score: two teacher-forced engine
-        # jobs plus a worker-loop-local combiner latch (single-threaded
-        # worker, no lock needed).
-        cond = conditioned_request(coach.tokenizer, pair)
-        uncond = unconditioned_request(coach.tokenizer, pair)
-        resolved: dict[str, object] = {}
+        def expired() -> None:
+            complete(Completion(job.pair, OUTCOME_EXPIRED, SOURCE_DEADLINE, False))
 
-        def combine(which: str, score) -> None:
-            resolved[which] = score
-            if len(resolved) == 2:
-                verdict = pair_ifd(resolved["cond"], resolved["uncond"])
-                complete(
-                    job_id, pair, OUTCOME_SCORED, SOURCE_ENGINE, 0, True,
-                    verdict.as_dict(),
-                )
+        admit(
+            job.pair, job.kind, job.deadline, job.priority,
+            coach=coach,
+            scorer=scorer,
+            threshold=config.quality_gate_threshold,
+            scheduler=scheduler,
+            complete=complete,
+            expired=expired,
+        )
 
-        expired = {"fired": False}
-
-        def on_expired() -> None:
-            if expired["fired"]:
-                return
-            expired["fired"] = True
-            complete(job_id, pair, OUTCOME_EXPIRED, SOURCE_DEADLINE, 0, False)
-
-        try:
-            scheduler.submit(EngineJob(
-                cond, lambda s: combine("cond", s),
-                deadline=deadline, on_expired=on_expired, priority=priority,
-            ))
-            scheduler.submit(EngineJob(
-                uncond, lambda s: combine("uncond", s),
-                deadline=deadline, on_expired=on_expired, priority=priority,
-            ))
-        except GenerationError:
-            complete(
-                job_id, pair, RevisionOutcome.PROMPT_TOO_LONG.value,
-                SOURCE_ENGINE, 0, True,
-            )
-
-    def handle_job(
-        job_id: int, pair: InstructionPair, deadline: float | None,
-        kind: str = KIND_REVISE, priority: int = 0,
-    ) -> None:
-        # Mirrors RevisionServer._admit gate-for-gate, so fleet results
-        # are token-for-token the single-process server's.
-        if kind == KIND_SCORE:
-            handle_score_job(job_id, pair, deadline, priority)
-            return
-        if threshold is not None and scorer is not None:
-            report = scorer.score_pair(pair)
-            if report.min_score >= threshold:
-                complete(job_id, pair, OUTCOME_QUALITY_GATED, SOURCE_GATE, 0, True)
-                return
-        request, outcome = coach.prepare_revision(pair)
-        if request is None:
-            assert outcome is not None
-            complete(
-                job_id, pair, outcome.value, SOURCE_ENGINE, 0,
-                outcome is RevisionOutcome.PROMPT_TOO_LONG,
-            )
-            return
-
-        def on_done(tokens: list[int]) -> None:
-            revised, out = coach.finalize_revision(pair, tokens)
-            complete(job_id, revised, out.value, SOURCE_ENGINE, len(tokens), True)
-
-        def on_expired() -> None:
-            complete(job_id, pair, OUTCOME_EXPIRED, SOURCE_DEADLINE, 0, False)
-
-        scheduler.submit(EngineJob(
-            request, on_done, deadline=deadline, on_expired=on_expired,
-            priority=priority,
-        ))
-
-    def send(message: tuple) -> None:
+    def send(message) -> None:
         if injector is not None:
             injector.before_send()
         conn.send(message)
@@ -303,7 +239,7 @@ def _fleet_worker_main(
         while outbox:
             message = outbox.pop(0)
             if (
-                message[0] == "done"
+                isinstance(message, _Done)
                 and injector is not None
                 and injector.on_result()
             ):
@@ -332,11 +268,8 @@ def _fleet_worker_main(
             )
             while conn.poll(timeout):
                 message = conn.recv()
-                if message[0] == "job":
-                    handle_job(
-                        message[1], message[2], message[3], message[4],
-                        message[5] if len(message) > 5 else 0,
-                    )
+                if isinstance(message, _Job):
+                    handle_job(message)
                 elif message[0] == "stop":
                     stopping = True
                 timeout = 0.0
@@ -390,13 +323,14 @@ class _Worker:
         return self.state == _STATE_DEAD and self.restart_due is None
 
 
-class EngineFleet:
+class EngineFleet(RevisionService):
     """Supervises N engine worker processes behind one submit() façade.
 
-    API-compatible with :class:`~repro.serving.server.RevisionServer`
-    (``submit`` / ``revise`` / ``metrics_snapshot`` / ``health`` /
-    context manager), so the HTTP front-end and the in-process client
-    drive either interchangeably.  ``artifact_dir`` enables cross-process
+    Shares :class:`~repro.serving.lifecycle.RevisionService`'s client API
+    with :class:`~repro.serving.server.RevisionServer` (``submit`` /
+    ``revise`` / context manager; plus ``metrics_snapshot`` / ``health``),
+    so the HTTP front-end and the in-process client drive either
+    interchangeably.  ``artifact_dir`` enables cross-process
     persistence of the revision cache (warm starts across fleets);
     ``fault_plan`` injects a deterministic failure schedule — when
     omitted, ``REPRO_FAULT_*`` environment variables are consulted so
@@ -423,10 +357,10 @@ class EngineFleet:
             fault_plan if fault_plan is not None else FaultPlan.from_env()
         )
         self.queue: BoundedPriorityQueue[RevisionTask] = BoundedPriorityQueue(
-            self.config.max_queue_depth
+            serving.max_queue_depth
         )
-        self.cache = RevisionLRUCache(serving.cache_capacity)
         self.metrics = ServingMetrics()
+        self.book = RequestBook(coach, serving, self.metrics)
         self.artifact_cache = (
             ArtifactCache(artifact_dir) if artifact_dir is not None else None
         )
@@ -437,10 +371,6 @@ class EngineFleet:
         self._ring = self._build_ring(self.config.fleet_workers)
         self._job_ids = itertools.count()
         self._jobs: dict[int, RevisionTask] = {}
-        # RLock: shedding a displaced leader pops its followers while the
-        # submit path already holds the lock around enqueue+register.
-        self._state_lock = threading.RLock()
-        self._inflight: dict[str, list[RevisionTask]] = {}
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
@@ -499,12 +429,6 @@ class EngineFleet:
                 worker.conn = None
         self._persist_cache()
 
-    def __enter__(self) -> "EngineFleet":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
     def install_sigterm_drain(self) -> None:
         """Route SIGTERM to a graceful :meth:`stop` (main thread only)."""
         import signal
@@ -514,108 +438,16 @@ class EngineFleet:
 
         signal.signal(signal.SIGTERM, handler)
 
-    # -- client API --------------------------------------------------------------
-    def submit(
-        self,
-        pair: InstructionPair,
-        priority: int = 0,
-        deadline_s: float | None = None,
-    ) -> RevisionFuture:
-        """Enqueue one pair; sheds lowest-priority-first under pressure.
-
-        Raises :class:`OverloadError` (HTTP ``503`` + ``Retry-After``)
-        when the request cannot be accepted: the fleet is draining, or
-        the queue is full and this request doesn't outrank anything in
-        it.  Cache hits are served even while draining or with every
-        worker down — the degraded fleet still answers what it already
-        knows.
-        """
-        key = (
-            None
-            if self.coach.is_leakage_gated(pair)
-            else revision_key(pair, self.coach.max_new_tokens, self.coach.copy_bias)
-        )
-        return self._submit_task(pair, key, KIND_REVISE, priority, deadline_s)
-
-    def submit_score(
-        self,
-        pair: InstructionPair,
-        priority: int = 0,
-        deadline_s: float | None = None,
-    ) -> RevisionFuture:
-        """Enqueue one pair for teacher-forced IFD scoring.
-
-        Scoring shares the queue, cache and workers with revise traffic
-        but lives in its own key-space (see :func:`score_key`), so a
-        score and a revise of the same content never dedup onto each
-        other.  Leakage gating does not apply: scoring reads the pair,
-        it never rewrites it.
-        """
-        return self._submit_task(
-            pair, score_key(pair), KIND_SCORE, priority, deadline_s
-        )
-
-    def _submit_task(
-        self,
-        pair: InstructionPair,
-        key: str | None,
-        kind: str,
-        priority: int,
-        deadline_s: float | None,
-    ) -> RevisionFuture:
-        if deadline_s is None:
-            deadline_s = self.config.serving.default_deadline_s
-        now = time.monotonic()
-        future = RevisionFuture()
-        self.metrics.record_submitted()
-        task = RevisionTask(
-            pair=pair,
-            future=future,
-            cache_key=key,
-            submitted_at=now,
-            deadline=now + deadline_s if deadline_s is not None else None,
-            priority=priority,
-            kind=kind,
-        )
-        if key is not None and self.cache.capacity > 0:
-            with self._state_lock:
-                entry = self.cache.get(key)
-                if entry is not None:
-                    self._resolve(
-                        future, entry.apply(pair), entry.outcome, SOURCE_CACHE,
-                        now, score=getattr(entry, "payload", None),
-                    )
-                    return future
-                if not self._draining:
-                    followers = self._inflight.get(key)
-                    if followers is not None:
-                        followers.append(task)
-                        return future
-                    self._enqueue(task)
-                    self._inflight[key] = []
-                    self._wake()
-                    return future
-        if self._draining:
-            self.metrics.record_rejected()
-            raise OverloadError(
-                "fleet is draining: not admitting new revisions",
-                retry_after_s=self.config.shed_retry_after_s,
-            )
-        self._enqueue(task)
-        self._wake()
-        return future
-
-    def revise(
-        self, pair: InstructionPair, timeout: float | None = None
-    ) -> RevisionResult:
-        """Synchronous helper: submit one pair and wait for its result."""
-        return self.submit(pair).result(timeout)
-
-    def score(
-        self, pair: InstructionPair, timeout: float | None = None
-    ) -> RevisionResult:
-        """Synchronous helper: submit one scoring job and wait."""
-        return self.submit_score(pair).result(timeout)
+    # -- client API (submit / submit_score / revise / score: RevisionService) ----
+    def _intake(self, task: RevisionTask) -> RevisionFuture:
+        # Sheds lowest-priority-first under pressure, and raises
+        # OverloadError (HTTP 503 + Retry-After) when the request cannot
+        # be accepted: the fleet is draining, or the queue is full and
+        # this request outranks nothing in it.  Cache hits are served
+        # even while draining or with every worker down — the degraded
+        # fleet still answers what it already knows — but a draining
+        # fleet attaches no new dedup followers.
+        return self.book.intake(task, self._enqueue, dedup=not self._draining)
 
     # -- observability ------------------------------------------------------------
     def metrics_snapshot(self) -> dict:
@@ -715,6 +547,12 @@ class EngineFleet:
 
     # -- admission internals ------------------------------------------------------
     def _enqueue(self, task: RevisionTask) -> None:
+        if self._draining:
+            self.metrics.record_rejected()
+            raise OverloadError(
+                "fleet is draining: not admitting new revisions",
+                retry_after_s=self.config.shed_retry_after_s,
+            )
         try:
             displaced = self.queue.put_or_displace(task, task.priority)
         except AdmissionError as error:
@@ -723,102 +561,8 @@ class EngineFleet:
                 str(error), retry_after_s=self.config.shed_retry_after_s
             ) from error
         if displaced is not None:
-            self._shed_task(displaced)
-
-    def _shed_task(self, task: RevisionTask) -> None:
-        """Resolve a displaced/undeliverable task (and followers) as shed."""
-        followers = self._pop_followers(task)
-        self._resolve(
-            task.future, task.pair, OUTCOME_SHED, SOURCE_SHED, task.submitted_at
-        )
-        for follower in followers:
-            self._resolve(
-                follower.future, follower.pair, OUTCOME_SHED, SOURCE_SHED,
-                follower.submitted_at,
-            )
-
-    def _fail_task(self, task: RevisionTask, error: WorkerLostError) -> None:
-        """Terminal worker-loss failure, fanned out to dedup followers —
-        identical content rides the same poison pill."""
-        followers = self._pop_followers(task)
-        for target in (task, *followers):
-            self.metrics.record_worker_lost_result()
-            target.future.set_exception(error)
-
-    def _pop_followers(self, task: RevisionTask) -> list[RevisionTask]:
-        if task.cache_key is None:
-            return []
-        with self._state_lock:
-            return self._inflight.pop(task.cache_key, [])
-
-    def _expire_task(self, task: RevisionTask) -> RevisionTask | None:
-        """Resolve one deadline-missed task; promote its oldest follower."""
-        promoted: RevisionTask | None = None
-        if task.cache_key is not None:
-            with self._state_lock:
-                followers = self._inflight.pop(task.cache_key, [])
-                if followers:
-                    promoted, rest = followers[0], followers[1:]
-                    self._inflight[task.cache_key] = rest
-        self._resolve(
-            task.future, task.pair, OUTCOME_EXPIRED, SOURCE_DEADLINE,
-            task.submitted_at,
-        )
-        return promoted
-
-    def _finish(
-        self,
-        task: RevisionTask,
-        result_pair: InstructionPair,
-        outcome: str,
-        source: str,
-        cacheable: bool,
-        generated: int = 0,
-        score: dict | None = None,
-    ) -> None:
-        entry: CachedRevision | CachedScore
-        if task.kind == KIND_SCORE:
-            entry = CachedScore(score, outcome)
-        else:
-            entry = CachedRevision(
-                result_pair.instruction, result_pair.response, outcome
-            )
-        followers: list[RevisionTask] = []
-        if task.cache_key is not None:
-            with self._state_lock:
-                if cacheable:
-                    self.cache.put(task.cache_key, entry)
-                followers = self._inflight.pop(task.cache_key, [])
-        self._resolve(
-            task.future, result_pair, outcome, source, task.submitted_at,
-            generated, score=score,
-        )
-        for follower in followers:
-            self._resolve(
-                follower.future, entry.apply(follower.pair), outcome,
-                SOURCE_DEDUP, follower.submitted_at, score=score,
-            )
-
-    def _resolve(
-        self,
-        future: RevisionFuture,
-        pair: InstructionPair,
-        outcome: str,
-        source: str,
-        submitted_at: float,
-        generated: int = 0,
-        score: dict | None = None,
-    ) -> None:
-        result = RevisionResult(
-            pair=pair,
-            outcome=outcome,
-            source=source,
-            latency_s=time.monotonic() - submitted_at,
-            generated_tokens=generated,
-            score=score,
-        )
-        self.metrics.record_result(result)
-        future.set_result(result)
+            self.book.shed(displaced)
+        self._wake()
 
     def _wake(self) -> None:
         try:
@@ -849,9 +593,7 @@ class EngineFleet:
         })
 
     def _max_outstanding(self) -> int:
-        return (
-            self.config.dispatch_depth_per_worker * self.config.serving.max_batch
-        )
+        return _DISPATCH_DEPTH_PER_WORKER * self.config.serving.max_batch
 
     def _route(self, task: RevisionTask) -> _Worker | None:
         """Pinned-by-content placement with liveness/load fallback."""
@@ -966,8 +708,11 @@ class EngineFleet:
             if worker.state in (_STATE_STARTING, _STATE_READY):
                 self._on_worker_loss(worker)
 
-    def _handle_message(self, worker: _Worker, message: tuple) -> None:
+    def _handle_message(self, worker: _Worker, message) -> None:
         worker.last_seen = time.monotonic()
+        if isinstance(message, _Done):
+            self._on_done(worker, message)
+            return
         kind = message[0]
         if kind == "ready":
             worker.state = _STATE_READY
@@ -976,26 +721,21 @@ class EngineFleet:
             if tokens or busy_s:
                 self.metrics.record_engine_work(tokens, busy_s)
             worker.kv = kv
-        elif kind == "done":
-            (
-                _, job_id, pair, outcome, source, generated, cacheable, score,
-            ) = message
-            worker.outstanding.discard(job_id)
-            task = self._jobs.pop(job_id, None)
-            if task is None:
-                # The at-most-once discipline makes this unreachable; the
-                # counter existing (and staying zero) is the proof.
-                self.metrics.record_duplicate_result()
-                return
-            if source == SOURCE_DEADLINE:
-                promoted = self._expire_task(task)
-                if promoted is not None:
-                    self._requeue(promoted, count_requeue=False)
-                return
-            self._finish(
-                task, pair, outcome, source,
-                cacheable=cacheable, generated=generated, score=score,
-            )
+
+    def _on_done(self, worker: _Worker, done: _Done) -> None:
+        worker.outstanding.discard(done.job_id)
+        task = self._jobs.pop(done.job_id, None)
+        if task is None:
+            # The at-most-once discipline makes this unreachable; the
+            # counter existing (and staying zero) is the proof.
+            self.metrics.record_duplicate_result()
+            return
+        if done.completion.source == SOURCE_DEADLINE:
+            promoted = self.book.expire(task)
+            if promoted is not None:
+                self._requeue(promoted, count_requeue=False)
+            return
+        self.book.finish(task, done.completion)
 
     def _dispatch(self, now: float) -> None:
         cap = self._max_outstanding()
@@ -1008,7 +748,7 @@ class EngineFleet:
             while task is not None and (
                 task.deadline is not None and now > task.deadline
             ):
-                task = self._expire_task(task)
+                task = self.book.expire(task)
             if task is None:
                 continue
             worker = self._route(task)
@@ -1019,9 +759,8 @@ class EngineFleet:
             self._jobs[job_id] = task
             worker.outstanding.add(job_id)
             try:
-                worker.conn.send((
-                    "job", job_id, task.pair, task.deadline, task.kind,
-                    task.priority,
+                worker.conn.send(_Job(
+                    job_id, task.pair, task.kind, task.deadline, task.priority
                 ))
             except (OSError, ValueError):
                 # Loss handling requeues this job with the rest.
@@ -1031,7 +770,7 @@ class EngineFleet:
         if count_requeue:
             task.requeues += 1
             if task.requeues > self.config.requeue_budget:
-                self._fail_task(
+                self.book.fail(
                     task,
                     WorkerLostError(
                         f"revision lost its worker {task.requeues} times "
@@ -1043,10 +782,10 @@ class EngineFleet:
         try:
             displaced = self.queue.put_or_displace(task, task.priority)
         except (AdmissionError, ServingError):
-            self._shed_task(task)
+            self.book.shed(task)
             return
         if displaced is not None:
-            self._shed_task(displaced)
+            self.book.shed(displaced)
 
     def _on_worker_loss(self, worker: _Worker) -> None:
         """Crash/hang path: kill, drain the pipe, requeue, schedule restart."""
@@ -1130,14 +869,14 @@ class EngineFleet:
     def _fail_everything(self, reason: str) -> None:
         for job_id in list(self._jobs):
             task = self._jobs.pop(job_id)
-            self._fail_task(task, WorkerLostError(reason))
+            self.book.fail(task, WorkerLostError(reason))
         for worker in self._workers:
             worker.outstanding.clear()
         while True:
             task = self.queue.get(timeout=0.0)
             if task is None:
                 break
-            self._fail_task(task, WorkerLostError(reason))
+            self.book.fail(task, WorkerLostError(reason))
 
     # -- drain -------------------------------------------------------------------
     def _drain_step(self, now: float) -> bool:
@@ -1184,7 +923,7 @@ class EngineFleet:
         })
 
     def _load_persisted_cache(self) -> None:
-        if self.artifact_cache is None or self.cache.capacity <= 0:
+        if self.artifact_cache is None or self.book.cache.capacity <= 0:
             return
         # get_json quarantines a torn artifact and reads it as a miss:
         # a fleet that died mid-persist costs a cold cache, never a crash.
@@ -1192,10 +931,10 @@ class EngineFleet:
             "fleet-cache", self._persistence_key()
         )
         if isinstance(blob, dict):
-            self.cache.import_entries(blob.get("revisions"))
+            self.book.cache.import_entries(blob.get("revisions"))
 
     def _persist_cache(self) -> None:
-        if self.artifact_cache is None or self.cache.capacity <= 0:
+        if self.artifact_cache is None or self.book.cache.capacity <= 0:
             return
         key = self._persistence_key()
         if self.fault_plan is not None and self.fault_plan.torn_cache_write:
@@ -1204,5 +943,5 @@ class EngineFleet:
             write_torn_json(self.artifact_cache.json_path("fleet-cache", key))
             return
         self.artifact_cache.save_json(
-            "fleet-cache", key, {"revisions": self.cache.export_entries()}
+            "fleet-cache", key, {"revisions": self.book.cache.export_entries()}
         )

@@ -125,7 +125,7 @@ class RevisionFuture:
 
 @dataclass
 class RevisionTask:
-    """One queued revision or scoring request (internal to the server)."""
+    """One queued revision or scoring request (internal to the backends)."""
 
     pair: InstructionPair
     future: RevisionFuture

@@ -100,10 +100,6 @@ def test_fleet_config_validation():
     with pytest.raises(ConfigError):
         FleetConfig(requeue_budget=-1)
     with pytest.raises(ConfigError):
-        FleetConfig(max_queue_depth=0)
-    with pytest.raises(ConfigError):
-        FleetConfig(dispatch_depth_per_worker=0)
-    with pytest.raises(ConfigError):
         FleetConfig(restart_backoff_s=0.0)
     assert FleetConfig().serving.max_batch == ServingConfig().max_batch
 
@@ -238,7 +234,9 @@ def test_fleet_sheds_lowest_priority_first(coach, dataset):
     """With a full queue, a higher-priority arrival displaces the worst
     queued request (resolved as shed); an arrival that doesn't outrank
     anything is refused with OverloadError carrying a retry hint."""
-    config = _fast_fleet_config(fleet_workers=1, max_queue_depth=2)
+    config = _fast_fleet_config(
+        fleet_workers=1, serving=ServingConfig(max_batch=4, max_queue_depth=2)
+    )
     fleet = EngineFleet(coach, config)
     # Not started: nothing drains the queue, so occupancy is deterministic.
     low = [fleet.submit(pair, priority=5) for pair in dataset[:2]]

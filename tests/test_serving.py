@@ -10,18 +10,19 @@ are pinned here, along with the queue/cache/metrics/HTTP plumbing.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_PREFILL_CHUNK_TOKENS, ServingConfig
+from repro.config import DEFAULT_PREFILL_CHUNK_TOKENS, FleetConfig, ServingConfig
 from repro.core.coachlm import CoachLM, RevisionOutcome
 from repro.data import InstructionDataset, generate_dataset
 from repro.data.instruction_pair import InstructionPair
@@ -32,6 +33,7 @@ from repro.nn import BatchedEngine, GenerationRequest, TransformerConfig, Transf
 from repro.serving import (
     BoundedPriorityQueue,
     CachedRevision,
+    EngineFleet,
     EngineJob,
     InProcessRevisionClient,
     OUTCOME_EXPIRED,
@@ -48,7 +50,6 @@ from repro.serving import (
     SOURCE_SHED,
     StreamingScheduler,
 )
-from repro.serving import scheduler as scheduler_module
 from repro.serving import server as server_module
 from repro.serving.requests import RevisionResult
 from repro.textgen.responses import detokenize, ideal_response
@@ -71,6 +72,27 @@ def coach(tokenizer):
 @pytest.fixture(scope="module")
 def dataset():
     return generate_dataset(np.random.default_rng(77), 10)
+
+
+def _one_worker_fleet(coach, config: ServingConfig | None = None) -> EngineFleet:
+    """A 1-worker fleet on fast heartbeats (``tests/test_fleet.py``'s)."""
+    return EngineFleet(coach, FleetConfig(
+        fleet_workers=1,
+        heartbeat_interval_s=0.02,
+        heartbeat_timeout_s=1.0,
+        restart_backoff_s=0.05,
+        restart_backoff_max_s=0.2,
+        worker_ready_timeout_s=60.0,
+        drain_timeout_s=60.0,
+        serving=config or ServingConfig(),
+    ))
+
+
+@pytest.fixture(params=["server", "fleet"])
+def make_service(request):
+    """Builds either backend: both run the one request lifecycle
+    (``repro.serving.lifecycle``), so each lifecycle test runs on both."""
+    return RevisionServer if request.param == "server" else _one_worker_fleet
 
 
 def _clean_pair() -> InstructionPair:
@@ -254,16 +276,10 @@ def test_scheduler_reports_tokens_and_busy_time(coach):
     assert metrics.engine_busy_s > 0
 
 
-def test_scheduler_paces_streamed_token_deliveries(coach, monkeypatch):
-    """A stream's first tokens go out at once; later ones coalesce until
-    ``TOKEN_DELIVERY_INTERVAL_S`` has passed; the rest are flushed just
-    before ``done``.  Every token is delivered exactly once, in order."""
-    clock = [100.0]
-    monkeypatch.setattr(
-        scheduler_module,
-        "time",
-        SimpleNamespace(monotonic=lambda: clock[0], perf_counter=time.perf_counter),
-    )
+def test_scheduler_paces_streamed_token_deliveries(coach):
+    """A stream's first tokens go out at once, every pump that produces
+    tokens delivers them, and the final flush comes before ``done``.
+    Every token is delivered exactly once, in order."""
     events: list[tuple[str, list[int]]] = []
     prompt = list(np.random.default_rng(7).integers(5, 100, size=6))
     engine = BatchedEngine(coach.model, max_batch=1)
@@ -275,24 +291,22 @@ def test_scheduler_paces_streamed_token_deliveries(coach, monkeypatch):
     ))
     while not events:
         scheduler.pump()
-    assert events[0][0] == "token"
+    assert events == [("token", engine.produced_so_far(seq_id))]
 
-    # The clock stands still: steps produce tokens, nothing is delivered.
-    # A step keeps at most four tokens, so holding five takes several.
-    while len(engine.produced_so_far(seq_id)) < 6:
+    # Each pump's new tokens go out in that same pump.
+    while True:
+        before = len(engine.produced_so_far(seq_id))
+        n_events = len(events)
         scheduler.pump()
-    assert len(events) == 1
+        if events[-1][0] == "done":
+            break
+        produced = engine.produced_so_far(seq_id)
+        assert produced is not None and len(produced) > before
+        assert events[n_events:] == [("token", produced[before:])]
 
-    # Once the interval has passed, one delivery carries every held token
-    # (the sequence is still short of its 20).
-    clock[0] += scheduler_module.TOKEN_DELIVERY_INTERVAL_S
-    scheduler.pump()
-    produced = engine.produced_so_far(seq_id)
-    assert len(events) == 2 and events[1][1] == produced[1:]
-
-    scheduler.drain()
     kinds = [kind for kind, _ in events]
-    assert kinds == ["token", "token", "token", "done"]
+    assert kinds[-1] == "done" and kinds.count("done") == 1
+    assert len(kinds) > 3
     streamed = [tok for kind, delta in events if kind == "token" for tok in delta]
     assert streamed == events[-1][1] and len(streamed) == 20
 
@@ -418,7 +432,7 @@ def test_server_parity_with_tiny_prefill_chunks(coach, dataset, monkeypatch):
         assert pair.response == exp.response
 
 
-def test_server_leakage_gating_matches_coach(tokenizer, dataset):
+def test_server_leakage_gating_matches_coach(tokenizer, dataset, make_service):
     config = TransformerConfig(
         vocab_size=tokenizer.vocab_size, d_model=32, n_layers=1, n_heads=4,
         max_seq_len=192,
@@ -427,7 +441,7 @@ def test_server_leakage_gating_matches_coach(tokenizer, dataset):
     leaky_ids = frozenset({dataset[0].pair_id, dataset[3].pair_id})
     leaky_coach = CoachLM(model, tokenizer, trained_instructions=leaky_ids)
     expected, expected_stats = leaky_coach.revise_dataset(dataset)
-    with RevisionServer(leaky_coach) as server:
+    with make_service(leaky_coach) as server:
         got, got_stats = InProcessRevisionClient(server).revise_dataset(dataset)
     assert got_stats.outcomes == expected_stats.outcomes
     assert got_stats.outcomes[RevisionOutcome.LEAKAGE_SKIPPED.value] == 2
@@ -461,9 +475,9 @@ def test_server_dedup_and_cache(coach, dataset):
     assert (hit.pair.instruction, hit.pair.response) in texts
 
 
-def test_server_quality_gate_skips_good_pairs(coach):
+def test_server_quality_gate_skips_good_pairs(coach, make_service):
     config = ServingConfig(max_batch=2, quality_gate_threshold=80.0)
-    with RevisionServer(coach, config) as server:
+    with make_service(coach, config) as server:
         result = server.revise(_clean_pair(), timeout=60.0)
     assert result.outcome == OUTCOME_QUALITY_GATED
     assert result.source == SOURCE_GATE
@@ -471,8 +485,8 @@ def test_server_quality_gate_skips_good_pairs(coach):
     assert server.metrics.engine_tokens == 0
 
 
-def test_server_deadline_expiry(coach, dataset):
-    server = RevisionServer(coach, ServingConfig(max_batch=2))
+def test_server_deadline_expiry(coach, dataset, make_service):
+    server = make_service(coach, ServingConfig(max_batch=2))
     future = server.submit(dataset[1], deadline_s=1e-4)
     time.sleep(0.01)     # expire while the worker is not yet running
     with server:
@@ -482,11 +496,11 @@ def test_server_deadline_expiry(coach, dataset):
     assert result.pair is dataset[1]
 
 
-def test_server_expired_leader_promotes_follower(coach, dataset):
+def test_server_expired_leader_promotes_follower(coach, dataset, make_service):
     """A follower with a laxer deadline must not inherit the leader's
     expiry: it is promoted to leader and revised normally."""
     pair = dataset[6]
-    server = RevisionServer(coach, ServingConfig(max_batch=2))
+    server = make_service(coach, ServingConfig(max_batch=2))
     leader = server.submit(pair, deadline_s=1e-4)
     follower = server.submit(pair)           # no deadline: never expires
     time.sleep(0.01)
@@ -499,6 +513,23 @@ def test_server_expired_leader_promotes_follower(coach, dataset):
     expected_pair, expected_outcome = coach.revise_pair(pair)
     assert follower_result.outcome == expected_outcome.value
     assert follower_result.pair.response == expected_pair.response
+
+
+def test_stopped_server_is_freed_without_the_cycle_collector(coach, dataset):
+    """A stopped server holds no reference cycle, so dropping it frees
+    its engine (and KV pool) at once: a benchmark that builds several
+    servers in a row otherwise peaks with all of their pools resident."""
+    gc.disable()
+    try:
+        server = RevisionServer(coach, ServingConfig(max_batch=2))
+        with server:
+            server.revise(dataset[5], timeout=60.0)
+            server.submit_stream(dataset[5]).get(timeout=60.0)
+        ref = weakref.ref(server)
+        del server
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_server_submit_when_stopped_leaves_no_poison_key(coach, dataset):
