@@ -1594,6 +1594,20 @@ class BatchedEngine:
                 return list(state.produced)
         return None
 
+    def live_produced(self) -> list[tuple[int, list[int]]]:
+        """``(seq_id, tokens so far)`` of every active decode.
+
+        A step appends tokens only to active decodes (a parked prompt
+        gets its first token as it moves into a slot), so this is what a
+        streaming reader scans after each step.  The lists are the
+        engine's own, not copies: read them on the engine-driving thread
+        between steps and never mutate them.
+        """
+        return [
+            (state.seq_id, state.produced)
+            for state in self._slots[: self._n_active]
+        ]
+
     def _release_suspended(self, state: _SlotState) -> None:
         """Return a suspended sequence's KV + reservation to the pool."""
         if state.detached is not None:

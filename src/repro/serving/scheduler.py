@@ -241,20 +241,19 @@ class StreamingScheduler:
                 # first failure to the pump driver.
                 if first_error is None:
                     first_error = exc
-        for seq_id, job in self._jobs.items():
+        for seq_id, produced in self.engine.live_produced():
             # Incremental delivery for still-running streaming jobs: the
             # tokens produced since the last delivery go out now, not at
-            # completion.
-            if job.on_token is None:
+            # completion.  Only active decodes gain tokens in a step.
+            job = self._jobs.get(seq_id)
+            if job is None or job.on_token is None or len(produced) <= job._sent:
                 continue
-            produced = self.engine.produced_so_far(seq_id)
-            if produced is not None and len(produced) > job._sent:
-                try:
-                    job.on_token(produced[job._sent:])
-                except Exception as exc:  # noqa: BLE001 - callback-owned
-                    if first_error is None:
-                        first_error = exc
-                job._sent = len(produced)
+            try:
+                job.on_token(produced[job._sent:])
+            except Exception as exc:  # noqa: BLE001 - callback-owned
+                if first_error is None:
+                    first_error = exc
+            job._sent = len(produced)
         if first_error is not None:
             raise first_error
         return completed

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from collections import deque
+from queue import Empty, SimpleQueue
 
 from ..config import ServingConfig
 from ..core.coachlm import CoachLM
@@ -57,8 +57,12 @@ class RevisionStream:
 
     def __init__(self, server: "RevisionServer"):
         self._server = server
-        self._events: deque = deque()
-        self._cond = threading.Condition()
+        # One wakeup per event: a terminal event itself, or ``None`` for
+        # "``_pending`` went non-empty".  Tokens pushed while a wakeup
+        # is unread join ``_pending`` and go out with it, so a reader
+        # that runs behind gets one merged event, not one per pump.
+        self._wakeups: SimpleQueue = SimpleQueue()
+        self._pending: list[int] = []
         self._lock = threading.Lock()
         self._seq_id: int | None = None
         self._cancelled = False
@@ -66,10 +70,15 @@ class RevisionStream:
 
     def get(self, timeout: float | None = None):
         """Pop the next event; ``None`` when nothing arrives in time."""
-        with self._cond:
-            if not self._cond.wait_for(lambda: bool(self._events), timeout):
-                return None
-            return self._events.popleft()
+        try:
+            event = self._wakeups.get(timeout=timeout)
+        except Empty:
+            return None
+        if event is not None:
+            return event
+        with self._lock:
+            tokens, self._pending = self._pending, []
+        return ("tokens", tokens)
 
     def cancel(self) -> None:
         """Abandon the stream (client disconnected); idempotent."""
@@ -90,32 +99,24 @@ class RevisionStream:
     def _push_tokens(self, token_ids: list[int]) -> None:
         # Unlocked flag reads: both only go False->True, and a late
         # extra event is harmless (cancel drains via the server anyway).
-        if self._terminal or self._cancelled:
+        if self._terminal or self._cancelled or not token_ids:
             return
-        with self._cond:
-            # Coalesce into an undelivered tokens event when the
-            # consumer is running behind: each event is "tokens produced
-            # since the last one", so merging is semantics-preserving
-            # and keeps a slow reader from being woken per decode step.
-            # No notify on this branch — a pending event means any
-            # waiter was already woken for it.
-            if self._events and self._events[-1][0] == "tokens":
-                self._events[-1][1].extend(token_ids)
-            else:
-                self._events.append(("tokens", list(token_ids)))
-                self._cond.notify()
+        with self._lock:
+            if not self._pending:
+                self._wakeups.put(None)
+            self._pending.extend(token_ids)
 
     def _push_terminal(self, result) -> None:
         # A RevisionResult or an exception, whichever resolved the future.
+        # The final tokens were pushed first (the scheduler flushes them
+        # before on_done), so their wakeup is already queued ahead.
         if self._terminal or self._cancelled:
             return
         self._terminal = True
-        with self._cond:
-            if isinstance(result, BaseException):
-                self._events.append(("error", result))
-            else:
-                self._events.append(("done", result))
-            self._cond.notify()
+        if isinstance(result, BaseException):
+            self._wakeups.put(("error", result))
+        else:
+            self._wakeups.put(("done", result))
 
     def _attach(self, seq_id: int) -> bool:
         """Record the engine sequence id; True if already cancelled."""

@@ -311,6 +311,32 @@ def test_scheduler_paces_streamed_token_deliveries(coach):
     assert streamed == events[-1][1] and len(streamed) == 20
 
 
+def test_revision_stream_merges_unread_tokens_before_terminal():
+    """Tokens pushed while the reader is behind arrive as one merged
+    event, a blocked reader is woken by the next push, and the terminal
+    event comes after every token; nothing follows it."""
+    stream = server_module.RevisionStream(server=None)
+    assert stream.get(timeout=0.0) is None
+    stream._push_tokens([1, 2])
+    stream._push_tokens([3])
+    assert stream.get(timeout=0.0) == ("tokens", [1, 2, 3])
+    assert stream.get(timeout=0.0) is None
+
+    woken: list = []
+    reader = threading.Thread(target=lambda: woken.append(stream.get(timeout=10.0)))
+    reader.start()
+    stream._push_tokens([4])
+    reader.join(timeout=10.0)
+    assert woken == [("tokens", [4])]
+
+    stream._push_tokens([5])
+    stream._push_terminal("result")
+    stream._push_tokens([6])
+    assert stream.get(timeout=0.0) == ("tokens", [5])
+    assert stream.get(timeout=0.0) == ("done", "result")
+    assert stream.get(timeout=0.0) is None
+
+
 # -- engine streaming edge cases the scheduler depends on --------------------------
 
 
