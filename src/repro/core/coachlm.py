@@ -143,9 +143,11 @@ class CoachLM:
 
         The induction bias (see :meth:`_generate_with_copy_assist`) is
         precomputed into a prompt follower index once per pair instead of
-        being rediscovered by an O(prompt) scan at every step.
+        being rediscovered by an O(prompt) scan at every step; the engine
+        owns it as request data and applies it to every verify position
+        of a step at once.
         """
-        step_bias = (
+        copy_bias = (
             InductionCopyBias(prompt, self.copy_bias, self._blocked)
             if self.copy_bias > 0.0
             else None
@@ -155,7 +157,7 @@ class CoachLM:
             max_new_tokens=self.max_new_tokens,
             eos_id=self.tokenizer.specials.eos,
             logit_bias=self._copy_bias_vector(pair),
-            step_bias=step_bias,
+            copy_bias=copy_bias,
         )
 
     def _generate_with_copy_assist(
@@ -195,8 +197,8 @@ class CoachLM:
             step = logits[0].copy()
             if base_bias is not None:
                 step += base_bias
-            if request.step_bias is not None:
-                request.step_bias(produced, step)
+            if request.copy_bias is not None:
+                request.copy_bias(produced, step)
             token = int(step.argmax())
             produced.append(token)
             if token == sp.eos:
@@ -207,29 +209,6 @@ class CoachLM:
             )[:, -1, :]
             offset += 1
         return produced
-
-    @staticmethod
-    def _induction_followers(
-        prompt: list[int], produced: list[int]
-    ) -> list[tuple[int, float]]:
-        """Candidate next tokens by suffix match against the prompt.
-
-        Returns (token, strength) pairs; a bigram match earns full
-        strength, a unigram match half.
-        """
-        followers: dict[int, float] = {}
-        last = produced[-1]
-        second = produced[-2] if len(produced) >= 2 else None
-        n = len(prompt)
-        for i in range(n - 1):
-            if prompt[i] != last:
-                continue
-            strength = 0.5
-            if second is not None and i > 0 and prompt[i - 1] == second:
-                strength = 1.0
-            follower = prompt[i + 1]
-            followers[follower] = max(followers.get(follower, 0.0), strength)
-        return list(followers.items())
 
     # -- construction ------------------------------------------------------------
     @classmethod

@@ -37,9 +37,9 @@ carries both:
    decode rows share one fused masked sub-attention over a stacked KV
    view, with query ``i`` of row ``b`` seeing columns up to
    ``lengths[b] + i``; plain one-token decode is ``q = 1`` of the same
-   code.  Token selection verifies the drafts position by position:
-   each row keeps the longest prefix greedy selection agrees with, plus
-   one bonus token.
+   code.  Token selection verifies every row and position at once (one
+   bias scatter, one argmax): each row keeps the longest prefix greedy
+   selection agrees with, plus one bonus token.
 
 Speculative decoding
 ~~~~~~~~~~~~~~~~~~~~
@@ -55,8 +55,8 @@ The drafts are verified inside the step's one packed forward
 — the same forward plain decode runs, with ``q`` query positions per
 row instead of one (speculative decoding, arXiv 2211.17192).  Position
 ``i`` is accepted only if every earlier position matched its draft, so
-a row's hooks see exactly the sequential ``produced`` list and greedy
-output is token-identical by construction.  ``q`` is uniform per step
+the copy bias it was scored with saw exactly the sequential ``produced``
+list and greedy output is token-identical by construction.  ``q`` is uniform per step
 and clipped so every write stays inside the row's reserved page quota
 and below ``max_seq_len``; a row with fewer drafted tokens feeds filler
 that verification simply does not keep.  Sampled (``top_k``) rows keep
@@ -95,6 +95,12 @@ up with one fancy-index gather per layer.  Every page size decodes the
 same tokens — the fuzz harness pins page sizes {1, 3, 16, 64} and one
 page per sequence (``kv_page_tokens = max_seq_len``).
 
+The mirror holds K and V *transposed*, ``(rows, H, Dh, view)`` per
+layer: token columns run along the last, unit-stride axis, so the
+decode block's Q·Kᵀ multiplies straight against a contiguous key
+layout, and P·V reads the same layout as a transposed operand.  Writes,
+catch-up gathers and growth all store columns along that axis.
+
 * **Streaming intake.**  The same machinery is exposed incrementally —
   ``submit()`` enqueues a request at any time, ``step()`` advances the
   fleet one verify step (one or more tokens per row), ``collect()``
@@ -104,9 +110,10 @@ page per sequence (``kv_page_tokens = max_seq_len``).
   run-to-completion loop layered on top.
 * **Per-sequence logit bias.**  Each request carries an optional static
   ``(V,)`` bias — together they form the batch's ``(B, V)`` bias matrix —
-  plus an optional per-step hook for dynamic biases
-  (:class:`InductionCopyBias` implements CoachLM's copy-assist with a
-  prompt index precomputed once instead of an O(prompt) scan per step).
+  plus an optional copy bias (:class:`InductionCopyBias`, CoachLM's
+  copy assist), held as engine data: a follower index built once per
+  prompt, which the engine reads for every decode row and verify
+  position of a step and adds in one scatter per strength.
 * **In-engine sampling.**  Decoding is greedy by default (the paper sets
   beam size to one for all models); a request may instead carry
   ``top_k`` plus its own seeded rng stream, reproducing
@@ -130,7 +137,6 @@ import heapq
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -156,10 +162,12 @@ class GenerationRequest:
     ``logit_bias`` is a static ``(V,)`` array added to every step's
     logits; it is normalised to float32 (the model's compute dtype) so
     every step — including the first — applies the identical bias.
-    ``step_bias`` is called as ``step_bias(produced, logits_row)``
-    before each argmax and may add dynamic bias in place (it sees the
-    tokens produced *so far*, i.e. it is a no-op opportunity on the first
-    token when ``produced`` is empty).
+    ``copy_bias`` is a dynamic bias the engine owns as data: an
+    :class:`InductionCopyBias` whose bonus at each step depends on the
+    last two tokens produced *so far* (none on the first token, when
+    nothing was produced).  The engine applies it to every verify
+    position of a step in one scatter, with exactly the values
+    ``copy_bias(produced, row)`` adds on the sequential path.
 
     ``top_k`` switches the request from greedy argmax to top-k sampling
     drawn from ``rng`` — the request's private generator stream, so its
@@ -178,7 +186,7 @@ class GenerationRequest:
     max_new_tokens: int
     eos_id: int | None = None
     logit_bias: np.ndarray | None = None
-    step_bias: Callable[[list[int], np.ndarray], None] | None = None
+    copy_bias: InductionCopyBias | None = None
     top_k: int | None = None
     rng: np.random.Generator | None = None
     priority: int = 0
@@ -242,66 +250,63 @@ class SequenceScore:
 
 
 class InductionCopyBias:
-    """Precomputed induction-head bias: suffix-match followers of a prompt.
+    """Induction-head copy bias: suffix-match followers of a source list.
 
-    Reproduces :meth:`CoachLM._induction_followers` exactly — at each
-    step the token following a prompt span that matches the last one or
-    two produced tokens gets a logit bonus (bigram match earns
-    ``strength``, unigram match half) — but from an index built once per
-    prompt instead of an O(len(prompt)) Python scan per step.
+    CoachLM's copy assist.  At each step the token following a span of
+    ``source`` (the coach prompt) that matches the last one or two
+    produced tokens gets a logit bonus: a bigram match earns
+    ``strength``, a unigram match half, and a follower matched both
+    ways gets the larger bonus once.  Followers in ``blocked`` never do.
 
-    The index stores, per last-token, the unique unigram followers, and
-    per (second, last) bigram, the bigram followers plus the unigram
-    followers *not* covered by the bigram — so each follower receives a
-    single add of exactly the strength the sequential scan would use
-    (bigram ⊃ unigram positions, max semantics).
+    The follower index is built once per source, as plain tuples:
+    ``unigram[last]`` holds the unigram followers of ``last``;
+    ``bigram[(second, last)]`` holds the bigram followers plus the
+    unigram followers *not* among them, so every follower receives one
+    add of exactly its strength.  The engine reads the index directly
+    and scatters the bonus for every decode row and verify position at
+    once (:meth:`BatchedEngine._biased_logits`); :meth:`__call__`
+    applies it to one logit row, the way the sequential reference does
+    at each step.
     """
+
+    __slots__ = ("full", "half", "unigram", "bigram")
 
     def __init__(
         self,
-        prompt: list[int],
+        source: list[int],
         strength: float,
         blocked: frozenset[int] = frozenset(),
     ):
         uni: dict[int, set[int]] = {}
         bi: dict[tuple[int, int], set[int]] = {}
-        n = len(prompt)
-        for i in range(n - 1):
-            follower = prompt[i + 1]
-            if follower in blocked:
-                continue
-            uni.setdefault(prompt[i], set()).add(follower)
-            if i > 0:
-                bi.setdefault((prompt[i - 1], prompt[i]), set()).add(follower)
-        self._full = np.float32(strength * 1.0)
-        self._half = np.float32(strength * 0.5)
-        self._uni: dict[int, np.ndarray] = {
-            tok: np.fromiter(sorted(fs), dtype=np.int64) for tok, fs in uni.items()
+        second = None
+        for last, follower in zip(source, source[1:]):
+            if follower not in blocked:
+                uni.setdefault(last, set()).add(follower)
+                if second is not None:
+                    bi.setdefault((second, last), set()).add(follower)
+            second = last
+        self.full = np.float32(strength * 1.0)
+        self.half = np.float32(strength * 0.5)
+        self.unigram: dict[int, tuple[int, ...]] = {
+            last: tuple(fs) for last, fs in uni.items()
         }
-        # Per bigram key: (full-strength followers, leftover half-strength).
-        self._bi: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        for key, fs in bi.items():
-            rest = uni.get(key[1], set()) - fs
-            self._bi[key] = (
-                np.fromiter(sorted(fs), dtype=np.int64),
-                np.fromiter(sorted(rest), dtype=np.int64),
-            )
+        # Per bigram: (full-strength followers, leftover half-strength).
+        self.bigram: dict[tuple[int, int], tuple[tuple, tuple]] = {
+            key: (tuple(fs), tuple(uni[key[1]] - fs)) for key, fs in bi.items()
+        }
 
     def __call__(self, produced: list[int], logits_row: np.ndarray) -> None:
+        """Add the bias for the step after ``produced`` to ``logits_row``."""
         if not produced:
             return
         last = produced[-1]
-        if len(produced) >= 2:
-            hit = self._bi.get((produced[-2], last))
-            if hit is not None:
-                full, rest = hit
-                logits_row[full] += self._full
-                if rest.size:
-                    logits_row[rest] += self._half
-                return
-        followers = self._uni.get(last)
-        if followers is not None:
-            logits_row[followers] += self._half
+        hit = self.bigram.get((produced[-2], last)) if len(produced) > 1 else None
+        full, half = ((), self.unigram.get(last, ())) if hit is None else hit
+        if full:
+            logits_row[list(full)] += self.full
+        if half:
+            logits_row[list(half)] += self.half
 
 
 class _PromptLookup:
@@ -409,7 +414,10 @@ class PagedKVCaches:
     **mirror** — allocated lazily to the *live* fleet's peak rows × peak
     view, not to ``max_batch × max_seq_len`` — shadows each row's page
     prefix, so the hot decode path writes its ``q`` columns to pages +
-    mirror and attends over copy-free mirror views.
+    mirror and attends over copy-free mirror views.  Pages store token
+    columns as ``(H, cols, Dh)``; the mirror stores them transposed, as
+    per-layer ``(rows, H, Dh, view_cap)`` K and V planes, so attention
+    reads each row's keys with a unit-stride token axis.
     The mirror is pure cache: ``_mirror_len[row]`` tracks its valid
     prefix, compaction invalidates moved rows instead of copying bytes,
     and the next step lazily re-gathers an invalidated row's
@@ -461,7 +469,8 @@ class PagedKVCaches:
         self._free: list[int] = []
         self._capacity = 0
         # Contiguous attention mirror (see class docstring): per-layer
-        # (rows_cap, H, view_cap, Dh) planes grown to the live fleet.
+        # transposed (rows_cap, H, Dh, view_cap) K and V planes grown to
+        # the live fleet.
         self.mk: list[np.ndarray] = []
         self.mv: list[np.ndarray] = []
         self._mirror_rows = 0
@@ -950,15 +959,15 @@ class PagedKVCaches:
             view_cap = min(
                 self.max_seq_len, max(view, view_cap + max(32, view_cap // 2))
             )
-        shape = (rows_cap, self.n_heads, view_cap, self.head_dim)
+        shape = (rows_cap, self.n_heads, self.head_dim, view_cap)
         old_k, old_v = self.mk, self.mv
         self.mk = [np.zeros(shape, dtype=np.float32) for _ in range(self.n_layers)]
         self.mv = [np.zeros(shape, dtype=np.float32) for _ in range(self.n_layers)]
         if old_k:
             r, w = self._mirror_rows, self._mirror_view
             for layer in range(self.n_layers):
-                self.mk[layer][:r, :, :w] = old_k[layer]
-                self.mv[layer][:r, :, :w] = old_v[layer]
+                self.mk[layer][:r, :, :, :w] = old_k[layer]
+                self.mv[layer][:r, :, :, :w] = old_v[layer]
         self._mirror_rows, self._mirror_view = rows_cap, view_cap
         self.peak_resident_bytes = max(
             self.peak_resident_bytes, self.resident_bytes()
@@ -1121,14 +1130,15 @@ class _PackedPagedSlots:
         """Store this layer's new K/V and return the attention views.
 
         ``k``/``v`` are ``(1, H, T_total, Dh)`` in packed order.  Lagging
-        mirror rows catch up from their pages first.  The ``n`` decode
-        rows of ``q`` tokens each own packed positions ``[0, n·q)``, so
-        their keys are the basic slice ``k[0, :, :n·q]``; all ``n·q``
-        columns scatter into the pool and the mirror in one store each,
-        and the rows come back as one stacked ``(n, H, view, Dh)``
-        mirror view.  Each chunk row writes its segment and comes back
-        as its exact-prefix mirror view.  Returns ``(ones_k, ones_v,
-        keys, vals)``, the inputs of
+        mirror rows catch up from their pages first, transposed into the
+        mirror's ``(H, Dh, t)`` column layout.  The ``n`` decode rows of
+        ``q`` tokens each own packed positions ``[0, n·q)``, so their
+        keys are the basic slice ``k[0, :, :n·q]``; all ``n·q`` columns
+        scatter into the pool and the mirror in one store each, and the
+        rows come back as one stacked, transposed ``(n, H, Dh, view)``
+        mirror view each for K and V.  Each chunk row writes its segment
+        and comes back as its exact-prefix ``(H, Dh, t_k)`` mirror view.
+        Returns ``(ones_k, ones_v, keys, vals)``, the inputs of
         :meth:`SelfAttention._packed_attention`.
         """
         pool = self.pool
@@ -1136,31 +1146,31 @@ class _PackedPagedSlots:
         pv = pool.v[self.layer]
         mk, mv = pool.mk[self.layer], pool.mv[self.layer]
         for row, cols, have in self.catchups:
-            mk[row, :, have : have + len(cols)] = pk[:, cols, :]
-            mv[row, :, have : have + len(cols)] = pv[:, cols, :]
+            mk[row, :, :, have : have + len(cols)] = pk[:, cols, :].transpose(0, 2, 1)
+            mv[row, :, :, have : have + len(cols)] = pv[:, cols, :].transpose(0, 2, 1)
         ones_k = ones_v = None
         if self.ones is not None:
             n, cols, rows, depths, block, view = self.ones
             # Decode tokens hold packed positions [0, n), so their K/V are
             # the basic slice k[0, :, :n] — (H, n, Dh), the layout the
-            # pool's column store expects; the mirror's (fancy, :, fancy)
-            # store is token-first, hence the transposed view.
+            # pool's column store expects; the mirror's (fancy, :, [:,]
+            # fancy) stores are token-first, hence the transposed views.
             new_k = k[0, :, :n]
             new_v = v[0, :, :n]
             pk[:, cols, :] = new_k
             pv[:, cols, :] = new_v
-            mk[rows, :, depths] = new_k.transpose(1, 0, 2)
-            mv[rows, :, depths] = new_v.transpose(1, 0, 2)
-            ones_k = mk[block, :, :view]
-            ones_v = mv[block, :, :view]
+            mk[rows, :, :, depths] = new_k.transpose(1, 0, 2)
+            mv[rows, :, :, depths] = new_v.transpose(1, 0, 2)
+            ones_k = mk[block, :, :, :view]
+            ones_v = mv[block, :, :, :view]
         keys, vals = [], []
         for slot, s, e, start, end, cols in self.chunks:
             pk[:, cols, :] = k[0, :, s:e]
             pv[:, cols, :] = v[0, :, s:e]
-            mk[slot, :, start:end] = k[0, :, s:e]
-            mv[slot, :, start:end] = v[0, :, s:e]
-            keys.append(mk[slot, :, :end])
-            vals.append(mv[slot, :, :end])
+            mk[slot, :, :, start:end] = k[0, :, s:e].transpose(0, 2, 1)
+            mv[slot, :, :, start:end] = v[0, :, s:e].transpose(0, 2, 1)
+            keys.append(mk[slot, :, :, :end])
+            vals.append(mv[slot, :, :, :end])
         return ones_k, ones_v, keys, vals
 
 
@@ -1819,10 +1829,10 @@ class BatchedEngine:
         """Apply biases, select, record; return True when finished."""
         request = state.request
         step = logits_row
-        if request.logit_bias is not None or request.step_bias is not None:
+        if request.logit_bias is not None or request.copy_bias is not None:
             step = step + self._bias[slot]
-            if request.step_bias is not None:
-                request.step_bias(state.produced, step)
+            if request.copy_bias is not None:
+                request.copy_bias(state.produced, step)
         token = self._choose_token(request, step)
         state.produced.append(token)
         self._count[slot] = len(state.produced)
@@ -2118,72 +2128,111 @@ class BatchedEngine:
         """Keep each decode row's agreeing draft prefix plus a bonus token.
 
         ``logits`` is ``(n, q, V)``: position ``i`` of row ``b`` predicts
-        the token after ``feed[b, i]``.  Every row goes position by
-        position (:meth:`_verify_row`) with ``logit_bias`` added, so each
-        kept token is exactly what one-token decode would have produced.
-        Advances produced tokens, counts and KV lengths; returns the rows
-        that finished (EOS or budget), ascending.
+        the token after ``feed[b, i]``.  Every row and position is
+        selected at once from :meth:`_biased_logits`, so each kept token
+        is exactly what one-token decode would have produced.  A greedy
+        row keeps position 0's token plus one more per leading position
+        whose token matched the next fed draft and was not EOS, clipped
+        to its remaining budget: ``1 + Σ cumprod(agree & ~eos)``.  A
+        sampled row keeps one token, drawn from position 0 on its
+        private rng stream (draw-for-draw parity with
+        :meth:`TransformerLM.generate`, whatever the batch).  Advances
+        produced tokens, counts and KV lengths; returns the rows that
+        finished (EOS or budget), ascending.
         """
         n, per = feed.shape
-        slots = self._slots
-        step = logits + self._bias[:n, None, :]
-        feed_rows = feed.tolist()
-        kept = []
-        last = []
+        step = self._biased_logits(logits, feed)
+        tokens = step.argmax(axis=-1)
+        eos = self._eos[:n]
+        keep = tokens[:, :-1] == feed[:, 1:]
+        keep &= tokens[:, :-1] != eos[:, None]
+        accepted = 1 + np.cumprod(keep, axis=1).sum(axis=1)
+        left = self._budget[:n] - self._count[:n]
+        np.minimum(accepted, left, out=accepted)
+        token_rows = tokens.tolist()
+        kept = accepted.tolist()
         proposed = 0
-        for b in range(n):
-            state = slots[b]
-            if state.request.top_k is None:
+        finished = []
+        for b, state in enumerate(self._slots[:n]):
+            request = state.request
+            produced = state.produced
+            if request.top_k is None:
                 # Draft positions this greedy row could keep, budget
                 # permitting.
-                proposed += min(per, state.budget - len(state.produced)) - 1
-            kept.append(self._verify_row(state, step[b], feed_rows[b]))
-            last.append(state.produced[-1])
+                proposed += min(per, state.budget - len(produced)) - 1
+                produced.extend(token_rows[b][: kept[b]])
+            else:
+                kept[b] = 1
+                produced.append(
+                    _sample_top_k(step[b, 0], request.top_k, request.rng)
+                )
+            if produced[-1] == request.eos_id or len(produced) >= state.budget:
+                finished.append(b)
         accepted = np.asarray(kept, dtype=np.int64)
         self._count[:n] += accepted
         self._caches.advance(n, accepted)
         self.decode_steps += 1
         self.draft_tokens_proposed += proposed
-        self.draft_tokens_accepted += int(accepted.sum()) - n
-        finished = (np.asarray(last) == self._eos[:n]) | (
-            self._count[:n] >= self._budget[:n]
-        )
-        return np.flatnonzero(finished).tolist()
+        self.draft_tokens_accepted += sum(kept) - n
+        return finished
 
-    @staticmethod
-    def _verify_row(
-        state: _SlotState, logits: np.ndarray, feed_row: list[int]
-    ) -> int:
-        """Position-by-position acceptance for one decode row.
+    def _biased_logits(self, logits: np.ndarray, feed: np.ndarray) -> np.ndarray:
+        """``logits + logit_bias`` with every row's copy bias scattered in.
 
-        The row stops at its first mismatch, at EOS or at its budget.
-        The hook sees ``produced`` with every token kept so far this step
-        appended — ``produced + draft[:i]`` at position ``i`` — and runs
-        only on positions whose predecessors were all kept, so it runs
-        once per produced token, as in one-token decode.  A sampled row
-        draws exactly one token, from position 0.  Returns the number of
-        tokens kept.
+        Position ``i`` of row ``b`` is biased as if ``feed[b, 1 : i + 1]``
+        were already produced, so its copy-bias context is the pair
+        ``(feed[b, i - 1] or produced[-2], feed[b, i])``.  A position
+        counts only when every earlier one was kept, which is exactly
+        when that assumption holds.  Only positions a row could keep get
+        the bias: those inside its remaining budget, and position 0
+        alone for a sampled row.  The followers of every position go
+        into one ``(position, token)`` list per strength and land in one
+        flat scatter-add each; within a list no index repeats, so each
+        element gets the single float32 add that
+        ``copy_bias(produced + feed[b, 1:i+1], step[b, i])`` makes.
         """
-        request = state.request
-        produced = state.produced
-        hook = request.step_bias
-        per = min(len(feed_row), state.budget - len(produced))
-        i = 0
-        while True:
-            row = logits[i]
-            if hook is not None:
-                hook(produced, row)
-            if request.top_k is not None:
-                # The exact sampler of TransformerLM.generate on the
-                # request's private rng stream: draw-for-draw parity
-                # with the sequential path, whatever the batch.
-                produced.append(_sample_top_k(row, request.top_k, request.rng))
-                return 1
-            token = int(row.argmax())
-            produced.append(token)
-            i += 1
-            if i == per or token == request.eos_id or token != feed_row[i]:
-                return i
+        n, per = feed.shape
+        step = logits + self._bias[:n, None, :]
+        groups: dict[np.float32, tuple[list[int], list[int]]] = {}
+        feed_rows = None
+        for b, state in enumerate(self._slots[:n]):
+            request = state.request
+            copy_bias = request.copy_bias
+            if copy_bias is None:
+                continue
+            if feed_rows is None:
+                feed_rows = feed.tolist()
+            produced = state.produced
+            positions = (
+                1 if request.top_k is not None
+                else min(per, state.budget - len(produced))
+            )
+            bigram, unigram = copy_bias.bigram, copy_bias.unigram
+            full_at, full_tokens = groups.setdefault(copy_bias.full, ([], []))
+            half_at, half_tokens = groups.setdefault(copy_bias.half, ([], []))
+            second = produced[-2] if len(produced) > 1 else None
+            at = b * per
+            for last in feed_rows[b][:positions]:
+                hit = bigram.get((second, last))
+                if hit is None:
+                    half = unigram.get(last)
+                else:
+                    full, half = hit
+                    full_at += [at] * len(full)
+                    full_tokens += full
+                if half:
+                    half_at += [at] * len(half)
+                    half_tokens += half
+                second = last
+                at += 1
+        flat = step.reshape(-1)
+        for strength, (at, tokens) in groups.items():
+            if at:
+                index = np.asarray(at, dtype=np.intp)
+                index *= step.shape[-1]
+                index += tokens
+                flat[index] += strength
+        return step
 
     # -- scoring phase -----------------------------------------------------------
     def _score_admit(self) -> None:

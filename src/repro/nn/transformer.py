@@ -180,17 +180,28 @@ class SelfAttention(Module):
         *decode* rows, all of the same length ``per`` (one fed token plus
         ``per - 1`` drafted ones), so they own packed positions
         ``[0, n·per)`` and their queries and outputs move by basic slice
-        and reshape, not by gather.  Their keys arrive stacked as
-        ``ones_k``/``ones_v`` — ``(n, H, view, Dh)`` — and the whole block
-        runs one fused ``(n, H, per, Dh) @ (n, H, Dh, view)`` attention;
-        ``key_mask`` (``(n, 1, per, view)``) shows query ``i`` of row
-        ``r`` exactly the columns ``c <= start_r + i``.  Plain decode is
-        ``per == 1``.  The remaining *chunk* rows run
-        per row over their exact ``keys[j]``/``vals[j]`` prefixes — no
-        pad column anywhere, each chunk's causal slice starts at its
-        global offset ``t_k - valid``, and every score temporary stays
-        at the cache-friendly single-sequence size.  The pipeline stays
-        in float32 with in-place updates.
+        and reshape, not by gather.  Their keys and values arrive stacked
+        and *transposed* as ``ones_k``/``ones_v`` — ``(n, H, Dh,
+        view)``, the KV mirror's layout — so Q·Kᵀ multiplies straight
+        against a unit-stride key axis and P·V reads the values as a
+        transposed operand; the whole block runs one fused ``(n, H, per,
+        Dh) @ (n, H, Dh, view)`` attention.  ``key_mask`` (``(n, 1, per,
+        view)``) shows query ``i`` of row ``r`` exactly the columns
+        ``c <= start_r + i``; columns past that (padding up to the
+        longest row, stale writes of rejected drafts) get zero weight.
+        Plain decode is ``per == 1``.  The remaining *chunk* rows run per
+        row over their exact ``keys[j]``/``vals[j]`` prefixes (``(H, Dh,
+        t_k)``, same layout) — no pad column anywhere, each chunk's
+        causal slice starts at its global offset ``t_k - valid``, and
+        every score temporary stays at the cache-friendly
+        single-sequence size.
+
+        The softmax is arranged for the fewest passes over the scores:
+        the ``1/√Dh`` scale goes into a contiguous copy of the queries
+        (``Dh`` columns per query, not ``view``), the row max is one
+        ``np.fmax.reduce``, and the row sums divide the ``P·V`` output
+        (``Dh`` columns) rather than the probabilities.  The pipeline
+        stays in float32 with in-place updates.
         """
         _, n_heads, t_total, head_dim = q.shape
         scale32 = np.float32(scale)
@@ -201,30 +212,36 @@ class SelfAttention(Module):
             # row r's queries at [r·per, (r+1)·per).
             per = int(spans[1])
             width = ones * per
-            q_ones = q[0, :, :width, :].reshape(
-                n_heads, ones, per, head_dim
-            ).transpose(1, 0, 2, 3)
-            scores = q_ones @ np.swapaxes(ones_k, -1, -2)
-            scores *= scale32
+            q_ones = np.empty((ones, n_heads, per, head_dim), dtype=np.float32)
+            np.multiply(
+                q[0, :, :width, :].reshape(n_heads, ones, per, head_dim)
+                .transpose(1, 0, 2, 3),
+                scale32,
+                out=q_ones,
+            )
+            scores = q_ones @ ones_k
             scores += key_mask
-            scores -= scores.max(axis=-1, keepdims=True)
+            scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
             np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            out[0, :, :width, :] = (scores @ ones_v).transpose(1, 0, 2, 3).reshape(
+            total = scores.sum(axis=-1, keepdims=True)
+            mixed = scores @ np.swapaxes(ones_v, -1, -2)
+            mixed /= total
+            out[0, :, :width, :] = mixed.transpose(1, 0, 2, 3).reshape(
                 n_heads, width, head_dim
             )
         for row in range(ones, len(spans) - 1):
             s, e = int(spans[row]), int(spans[row + 1])
             valid = e - s
             k_row, v_row = keys[row - ones], vals[row - ones]
-            scores = q[0, :, s:e, :] @ np.swapaxes(k_row, -1, -2)
-            scores *= scale32
+            scores = (q[0, :, s:e, :] * scale32) @ k_row
             if valid > 1:
-                scores += self._causal_slice(causal_mask, valid, k_row.shape[1])
-            scores -= scores.max(axis=-1, keepdims=True)
+                scores += self._causal_slice(causal_mask, valid, k_row.shape[2])
+            scores -= np.fmax.reduce(scores, axis=-1, keepdims=True)
             np.exp(scores, out=scores)
-            scores /= scores.sum(axis=-1, keepdims=True)
-            out[0, :, s:e, :] = scores @ v_row
+            total = scores.sum(axis=-1, keepdims=True)
+            mixed = scores @ np.swapaxes(v_row, -1, -2)
+            mixed /= total
+            out[0, :, s:e, :] = mixed
         return out
 
 

@@ -18,7 +18,7 @@ from repro.data.instruction_pair import InstructionPair, Origin
 from repro.errors import ConfigError, ModelError
 from repro.experts import ExpertReviser, GROUP_A
 from repro.experts.revision import RevisionRecord
-from repro.nn import TransformerConfig, TransformerLM
+from repro.nn import InductionCopyBias, TransformerConfig, TransformerLM
 from repro.textgen.tasks import sample_instance
 
 
@@ -185,11 +185,11 @@ def test_revise_dataset_preserves_order_and_ids(micro_backbone, tokenizer):
 
 
 def test_induction_followers_prefers_bigram():
-    followers = dict(CoachLM._induction_followers(
-        [10, 11, 12, 10, 11, 13], [10, 11]
-    ))
-    assert followers[12] == 1.0  # bigram match (10, 11) -> 12
-    assert followers[13] == 1.0  # bigram match at the second site
+    row = np.zeros(16, dtype=np.float32)
+    InductionCopyBias([10, 11, 12, 10, 11, 13, 11, 14], 2.0)([10, 11], row)
+    assert row[12] == 2.0  # bigram match (10, 11) -> 12
+    assert row[13] == 2.0  # bigram match at the second site
+    assert row[14] == 1.0  # unigram-only match (13, 11) -> 14: half
 
 
 def test_revision_stats_fractions():

@@ -177,6 +177,24 @@ def test_engine_more_requests_than_slots_preserves_order(model):
 # -- induction bias index ----------------------------------------------------------
 
 
+def _induction_followers(prompt, produced):
+    """Reference scan: ``(token, strength)`` candidates by suffix match
+    against the prompt — a bigram match earns full strength, a unigram
+    match half, and a token matched both ways keeps the larger."""
+    followers: dict[int, float] = {}
+    last = produced[-1]
+    second = produced[-2] if len(produced) >= 2 else None
+    for i in range(len(prompt) - 1):
+        if prompt[i] != last:
+            continue
+        strength = 0.5
+        if second is not None and i > 0 and prompt[i - 1] == second:
+            strength = 1.0
+        follower = prompt[i + 1]
+        followers[follower] = max(followers.get(follower, 0.0), strength)
+    return list(followers.items())
+
+
 def test_induction_copy_bias_matches_reference_scan():
     rng = np.random.default_rng(23)
     for _ in range(30):
@@ -187,7 +205,7 @@ def test_induction_copy_bias_matches_reference_scan():
         fast = np.zeros(12, dtype=np.float32)
         InductionCopyBias(prompt, strength, blocked)(produced, fast)
         slow = np.zeros(12, dtype=np.float32)
-        for follower, s in CoachLM._induction_followers(prompt, produced):
+        for follower, s in _induction_followers(prompt, produced):
             if follower not in blocked:
                 slow[follower] += strength * s
         assert np.array_equal(fast, slow), (prompt, produced, blocked)
@@ -1322,21 +1340,21 @@ def test_clear_prefix_cache_returns_pages_to_free_list(model):
 MOTIF = [10, 11, 12, 13, 14, 15, 16]
 
 
-def _copy_request(prompt, budget, eos_id=None, step_bias=None):
-    """A request that copies ``MOTIF`` out of ``prompt``: CoachLM's copy
-    assist — a static bias picks the motif's first token, then
-    :class:`InductionCopyBias` follows the prompt from there."""
+def _copy_request(prompt, budget, eos_id=None, source=None, first=MOTIF[0]):
+    """A request that copies out of ``source`` (default: ``prompt``):
+    CoachLM's copy assist — a static bias picks ``first``, then
+    :class:`InductionCopyBias` follows ``source`` from there."""
     bias = np.zeros(197, dtype=np.float32)
-    bias[MOTIF[0]] = 20.0
+    bias[first] = 20.0
     return GenerationRequest(
         prompt, budget, eos_id=eos_id, logit_bias=bias,
-        step_bias=step_bias or InductionCopyBias(prompt, 100.0),
+        copy_bias=InductionCopyBias(prompt if source is None else source, 100.0),
     )
 
 
 def _sequential_request(model, request):
-    """Cached one-token decode with the request's biases and hook applied
-    as CoachLM's sequential copy assist applies them."""
+    """Cached one-token decode with the request's biases applied as
+    CoachLM's sequential copy assist applies them."""
     prompt = request.prompt_ids
     budget = min(request.max_new_tokens, model.config.max_seq_len - len(prompt))
     caches = [{"k": None, "v": None} for _ in model.blocks]
@@ -1346,8 +1364,8 @@ def _sequential_request(model, request):
         step = logits[0].copy()
         if request.logit_bias is not None:
             step += request.logit_bias
-        if request.step_bias is not None:
-            request.step_bias(produced, step)
+        if request.copy_bias is not None:
+            request.copy_bias(produced, step)
         token = int(step.argmax())
         produced.append(token)
         if token == request.eos_id:
@@ -1374,15 +1392,17 @@ def test_speculation_accepts_every_draft_on_a_copied_motif(model):
 
 
 def test_speculation_rejects_every_draft_on_novel_tokens(model):
-    def ascending(produced, row):
-        # The output counts up 100, 101, ...; each token already occurs
-        # in the prompt, but followed by its predecessor, so every
-        # lookup hits and every draft is wrong.
-        row[100 + len(produced)] += 1e4
-
+    # The copy bias follows an ascending source, so the output counts up
+    # 100, 101, ...; each token already occurs in the descending prompt,
+    # but followed by its predecessor, so every lookup hits and every
+    # draft is wrong.
+    ascending = list(range(100, 121))
     prompts = [list(range(140, 99, -1)), list(range(119, 99, -1))]
-    requests = [GenerationRequest(p, 20, step_bias=ascending) for p in prompts]
+    requests = [
+        _copy_request(p, 20, source=ascending, first=100) for p in prompts
+    ]
     expected = [_sequential_request(model, r) for r in requests]
+    assert expected == [ascending[:20]] * 2
     engine = BatchedEngine(model, max_batch=2)
     assert engine.generate(requests) == expected
     stats = engine.kv_stats()
@@ -1394,13 +1414,13 @@ def test_speculation_rejects_every_draft_on_novel_tokens(model):
 def test_speculation_feeds_one_token_when_no_row_has_a_draft(model):
     """A step on which no greedy row's last bigram or last token occurred
     before feeds q = 1: no filler-only positions are verified."""
-    def novel(produced, row):
-        # Every token is one the sequence has never seen.
-        row[100 + len(produced)] += 1e4
-
+    # The copy bias follows a source the prompts never contain, so every
+    # token is one the sequence has never seen.
+    novel = list(range(100, 121))
     prompts = [MOTIF * 2, [5, 6, 7]]
-    requests = [GenerationRequest(p, 20, step_bias=novel) for p in prompts]
+    requests = [_copy_request(p, 20, source=novel, first=100) for p in prompts]
     expected = [_sequential_request(model, r) for r in requests]
+    assert expected == [novel[:20]] * 2
     engine = BatchedEngine(model, max_batch=2)
     widths = []
     draft = engine._draft
@@ -1447,9 +1467,9 @@ def test_speculation_stops_at_eos_inside_an_accepted_run(model):
 
 
 def test_speculation_plain_rows_stop_at_eos_drafted_inside_a_run(monkeypatch):
-    """Hook-free greedy rows take the vectorised acceptance path.  A
-    scripted forward (each position's argmax is a fixed successor of its
-    input token, cycling through ``MOTIF``) makes every draft right, so
+    """Greedy rows without a copy bias.  A scripted forward (each
+    position's argmax is a fixed successor of its input token, cycling
+    through ``MOTIF``) makes every draft right, so
     EOS arrives as an accepted draft mid-run and must end the row there,
     and a row without EOS must stop exactly at its budget."""
     config = TransformerConfig(
@@ -1525,32 +1545,93 @@ def test_speculation_clips_at_the_context_end_within_the_page_quota(
     assert stats["draft_tokens_accepted"] > 0
 
 
-def test_speculation_calls_step_bias_with_produced_plus_accepted_drafts(model):
-    """The hook sees ``produced + draft[:i]`` at position ``i`` and never
-    runs past a rejection: its calls are exactly the sequential ones."""
+def test_speculation_copy_bias_sees_produced_plus_accepted_drafts(model):
+    """Position ``i`` is biased by the context ``produced + draft[:i]``.
+
+    The copy bias follows a source in which every motif token after the
+    first also precedes a decoy (50 + j) that a static bias favours: the
+    motif continues only where the bigram ``(second, last)`` matches.
+    A position biased by any other context than its accepted prefix
+    falls back to the unigram followers, where the decoy wins."""
     prompt = [5, 6] + MOTIF * 3
-    calls: dict[str, list[list[int]]] = {"engine": [], "sequential": []}
-
-    def recording(key):
-        induction = InductionCopyBias(prompt, 100.0)
-
-        def hook(produced, row):
-            calls[key].append(list(produced))
-            induction(produced, row)
-
-        return hook
-
-    expected = _sequential_request(
-        model, _copy_request(prompt, 24, step_bias=recording("sequential"))
-    )
+    source = MOTIF * 2
+    for j, token in enumerate(MOTIF[1:]):
+        source += [token, 51 + j]
+    request = _copy_request(prompt, 24, source=source)
+    request.logit_bias[51:57] = 10.0
+    expected = _sequential_request(model, request)
+    assert expected == (MOTIF * 4)[:24]
     engine = BatchedEngine(model, max_batch=1)
-    got = engine.generate(
-        [_copy_request(prompt, 24, step_bias=recording("engine"))]
-    )
-    assert got == [expected]
-    assert calls["engine"] == calls["sequential"]
-    assert calls["engine"] == [expected[:i] for i in range(len(expected))]
+    assert engine.generate([request]) == [expected]
     assert engine.kv_stats()["draft_tokens_accepted"] > 0
+
+
+def test_verify_copy_bias_scatter_matches_per_position_calls(model):
+    """The one-pass scatter of :meth:`BatchedEngine._biased_logits` is
+    bitwise the per-position ``copy_bias(produced + feed[b, 1:i+1], row)``
+    calls, over every position a row could keep."""
+    from repro.nn.decoding import _SlotState
+
+    source = [20, 21, 22, 20, 23, 24, 25, 21, 26, 30, 31, 32]
+    static = np.zeros(197, dtype=np.float32)
+    static[[21, 40]] = 0.75
+    rows = [
+        # (copy bias, produced, budget, feed, top_k, logit_bias)
+        # One produced token: unigram context, then a bigram hit.
+        (InductionCopyBias(source, 3.0), [20], 30, [20, 21, 99, 98], None, None),
+        # Two produced: a unigram-only hit, then bigram hits with
+        # leftover unigram followers (strength 5: its half is 2.5).
+        (InductionCopyBias(source, 5.0), [7, 20], 30, [20, 21, 22, 20], None, static),
+        # Unigram-only hit after a bigram the source never holds.
+        (InductionCopyBias(source, 6.0), [99, 24], 30, [24, 25, 40, 41], None, None),
+        # Blocked followers are never boosted.
+        (
+            InductionCopyBias(source, 3.0, frozenset({21, 23})),
+            [22, 20], 30, [20, 21, 22, 20], None, None,
+        ),
+        # Two tokens of budget left: positions 2 and 3 stay unbiased.
+        (InductionCopyBias(source, 3.0), [20, 21], 4, [21, 22, 20, 23], None, None),
+        # A sampled row keeps one token: position 0 only.
+        (InductionCopyBias(source, 3.0), [20, 21], 30, [21, 21, 21, 21], 3, None),
+        # No copy bias.
+        (None, [20, 21], 30, [21, 22, 20, 23], None, static),
+    ]
+    engine = BatchedEngine(model, max_batch=len(rows))
+    engine._ensure_state()
+    for b, (copy_bias, produced, budget, _feed, top_k, logit_bias) in enumerate(rows):
+        request = GenerationRequest(
+            [1, 2, 3], budget, logit_bias=logit_bias, copy_bias=copy_bias,
+            top_k=top_k, rng=np.random.default_rng(0) if top_k else None,
+        )
+        state = _SlotState(b, request, budget, produced=list(produced))
+        engine._install(b, state)
+        engine._count[b] = len(produced)
+    engine._n_active = len(rows)
+    feed = np.asarray([row[3] for row in rows], dtype=np.int64)
+    logits = np.random.default_rng(5).standard_normal(
+        (len(rows), 4, 197)
+    ).astype(np.float32)
+    got = engine._biased_logits(logits, feed)
+
+    expected = logits + engine._bias[: len(rows), None, :]
+    for b, (copy_bias, produced, budget, row_feed, top_k, _) in enumerate(rows):
+        if copy_bias is None:
+            continue
+        positions = 1 if top_k else min(4, budget - len(produced))
+        for i in range(positions):
+            copy_bias(produced + row_feed[1 : i + 1], expected[b, i])
+    assert got.tobytes() == expected.tobytes()
+    unbiased = logits + engine._bias[: len(rows), None, :]
+    moved = (got != unbiased).any(axis=-1)
+    assert moved[0].tolist() == [True, True, False, False]
+    assert moved[1].all() and moved[2, :2].all()
+    assert got[1, 1, 26] == unbiased[1, 1, 26] + np.float32(2.5)  # leftover
+    assert not moved[2, 2:].any()
+    assert moved[3].tolist() == [False, True, True, False]
+    assert (got[3, :, [21, 23]] == unbiased[3, :, [21, 23]]).all()
+    assert moved[4].tolist() == [True, True, False, False]
+    assert moved[5].tolist() == [True, False, False, False]
+    assert not moved[6].any()
 
 
 def test_speculation_top_k_rows_keep_one_sampled_token_per_step(model):

@@ -19,10 +19,10 @@ cache on or off — none of which may change a single token.
 Some prompts repeat a short motif, the copy-shaped input speculative
 decoding drafts from.  Half of those carry CoachLM's copy assist — a
 static bias on the motif's first token plus an :class:`InductionCopyBias`
-hook — over a motif that contains EOS, so the output copies the motif,
+— over a motif that contains EOS, so the output copies the motif,
 every draft is accepted, and EOS lands inside an accepted run.  Full
-draft acceptance, EOS inside a run, ``step_bias`` hooks under
-speculation and the budget clip at the context end are thereby fuzzed
+draft acceptance, EOS inside a run, the copy bias under speculation
+and the budget clip at the context end are thereby fuzzed
 against the sequential path.  The motif draws come from their own rng
 stream, so every other draw of a seed is unchanged, and each run's
 corpus must keep at least one drafted token
@@ -242,7 +242,7 @@ def _draw_scenario(seed: int, context: int) -> _Scenario:
 
 
 def _copy_assist(req: _FuzzRequest):
-    """The request's ``(logit_bias, step_bias)``: CoachLM-style copy
+    """The request's ``(logit_bias, copy_bias)``: CoachLM-style copy
     assist, or ``(None, None)`` for plain decode."""
     if req.copy_strength is None:
         return None, None
@@ -257,8 +257,8 @@ def _sequential_reference(model: TransformerLM, req: _FuzzRequest) -> list[int]:
         if req.sample_seed is not None
         else None
     )
-    logit_bias, step_bias = _copy_assist(req)
-    if step_bias is None:
+    logit_bias, copy_bias = _copy_assist(req)
+    if copy_bias is None:
         return model.generate(
             req.prompt,
             req.max_new_tokens,
@@ -266,7 +266,7 @@ def _sequential_reference(model: TransformerLM, req: _FuzzRequest) -> list[int]:
             top_k=req.top_k,
             rng=rng,
         )
-    # TransformerLM.generate's cached decode with the hook applied
+    # TransformerLM.generate's cached decode with the copy bias applied
     # before each selection, as CoachLM's sequential copy assist does.
     budget = min(req.max_new_tokens, model.config.max_seq_len - len(req.prompt))
     if budget <= 0:
@@ -276,7 +276,7 @@ def _sequential_reference(model: TransformerLM, req: _FuzzRequest) -> list[int]:
     produced: list[int] = []
     for _ in range(budget):
         step = logits[0] + logit_bias
-        step_bias(produced, step)
+        copy_bias(produced, step)
         if req.top_k is not None:
             token = _sample_top_k(step, req.top_k, rng)
         else:
@@ -326,7 +326,7 @@ def _run_engine_trace(
                     if req.sample_seed is not None
                     else None
                 )
-                logit_bias, step_bias = _copy_assist(req)
+                logit_bias, copy_bias = _copy_assist(req)
                 seq_ids[i] = engine.submit(
                     GenerationRequest(
                         req.prompt,
@@ -336,7 +336,7 @@ def _run_engine_trace(
                         rng=rng,
                         priority=req.priority,
                         logit_bias=logit_bias,
-                        step_bias=step_bias,
+                        copy_bias=copy_bias,
                     )
                 )
             if (

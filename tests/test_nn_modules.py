@@ -230,6 +230,75 @@ def test_kv_cache_matches_full_forward(tiny_model, rng):
     assert np.allclose(out[0, -1], full, atol=1e-4)
 
 
+def _masked_softmax_reference(q, keys_t, vals_t, horizon, scale):
+    """float64 attention of one query over columns ``[0, horizon]`` of one
+    head's transposed ``(Dh, t)`` keys and values."""
+    k = keys_t[:, : horizon + 1].astype(np.float64)
+    v = vals_t[:, : horizon + 1].astype(np.float64)
+    scores = (q.astype(np.float64) @ k) * scale
+    probs = np.exp(scores - scores.max())
+    return (probs / probs.sum()) @ v.T
+
+
+@pytest.mark.parametrize("per", [1, 4])
+def test_packed_attention_matches_float64_reference(tiny_model, rng, per):
+    """The float32 packed attention core against a plain float64 per-row
+    masked softmax: decode rows of ``per`` queries over one view padded
+    past the shorter rows' lengths, whose stale columns hold large
+    garbage, then chunk rows at non-zero offsets, one of a single token."""
+    attn = tiny_model.blocks[0].attn
+    n_heads, head_dim = tiny_model.config.n_heads, tiny_model.config.head_dim
+    scale = 1.0 / np.sqrt(head_dim)
+    starts = np.array([5, 17, 9])                    # decode row lengths
+    chunks = [(4, 6), (7, 1)]                         # (offset, tokens)
+    view, cap = int(starts.max()) + per, 24
+    n = len(starts)
+
+    def planes(rows):
+        # Transposed (rows, H, Dh, cap) K/V planes; every column past a
+        # row's last written one is stale and large.
+        return rng.normal(size=(rows, n_heads, head_dim, cap)).astype(np.float32) * 3
+
+    store_k, store_v = planes(n), planes(n)
+    depths = starts[:, None] + np.arange(per)
+    for r in range(n):
+        store_k[r, :, :, depths[r, -1] + 1 :] *= 50
+        store_v[r, :, :, depths[r, -1] + 1 :] *= 50
+    key_mask = np.where(
+        np.arange(view) <= depths[:, :, None], np.float32(0.0), np.float32(-1e9)
+    )[:, None]
+    chunk_k, chunk_v = planes(len(chunks)), planes(len(chunks))
+    for j, (offset, tokens) in enumerate(chunks):
+        chunk_k[j, :, :, offset + tokens :] *= 50
+        chunk_v[j, :, :, offset + tokens :] *= 50
+    spans = np.cumsum([0] + [per] * n + [tokens for _, tokens in chunks])
+    q = rng.normal(size=(1, n_heads, int(spans[-1]), head_dim)).astype(np.float32)
+
+    out = attn._packed_attention(
+        q, store_k[:, :, :, :view], store_v[:, :, :, :view],
+        [chunk_k[j, :, :, : o + t] for j, (o, t) in enumerate(chunks)],
+        [chunk_v[j, :, :, : o + t] for j, (o, t) in enumerate(chunks)],
+        scale, tiny_model._causal_mask, key_mask, spans,
+    )
+
+    expected = np.empty(out.shape, dtype=np.float64)
+    for h in range(n_heads):
+        for r in range(n):
+            for i in range(per):
+                expected[0, h, r * per + i] = _masked_softmax_reference(
+                    q[0, h, r * per + i], store_k[r, h], store_v[r, h],
+                    int(depths[r, i]), scale,
+                )
+        for j, (offset, tokens) in enumerate(chunks):
+            for m in range(tokens):
+                expected[0, h, spans[n + j] + m] = _masked_softmax_reference(
+                    q[0, h, spans[n + j] + m], chunk_k[j, h], chunk_v[j, h],
+                    offset + m, scale,
+                )
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, expected, rtol=1e-5, atol=1e-5)
+
+
 def test_generate_greedy_memorization(rng):
     cfg = TransformerConfig(vocab_size=30, d_model=32, n_layers=2,
                             n_heads=2, max_seq_len=32)
